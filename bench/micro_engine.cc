@@ -1,14 +1,16 @@
-// Engine-path microbench: the preserved pre-IR fused executor
-// (engine::legacy::RunFused) vs compiling to the physical-plan IR and
+// Engine-path microbench: compiling a query to the physical-plan IR and
 // executing it (plan::Compile + plan::ExecutePlan), per SSB query and
-// TPC-H Q6. The plan IR's acceptance bar is <= 5% overhead over the
-// fused path; the emitted `engine_plan_overhead_pct` records are the
-// evidence, merged into BENCH_micro.json by scripts/bench_trajectory.sh.
+// TPC-H Q6, with the trace recorder off (`plan_ir`) and on (`traced`).
+// Built with -DPUMP_TRACE=OFF, its `plan_ir` numbers are the
+// uninstrumented baseline that scripts/check.sh compares the default
+// build's against (compiled-in but disabled spans may cost <= 5%).
+// Records are merged into BENCH_micro.json by scripts/bench_trajectory.sh.
 //
 // Hand-rolled harness (no google-benchmark): compile time is measured
-// separately from execution so the overhead number isolates the morsel
-// loop, and records are emitted via --json=<path>. --quick shrinks the
-// fact table to smoke-test proportions.
+// separately from execution, and records are emitted via --json=<path>.
+// --quick shrinks the fact table to smoke-test proportions. Every timed
+// run must return the first untraced run's result; checking results
+// against an independent reference is tests/plan_test.cc's job.
 
 #include <algorithm>
 #include <chrono>
@@ -21,7 +23,6 @@
 #include "bench_support/json_writer.h"
 #include "common/statistics.h"
 #include "data/tpch.h"
-#include "engine/legacy_fused.h"
 #include "engine/ssb.h"
 #include "exec/parallel.h"
 #include "obs/trace.h"
@@ -54,26 +55,6 @@ void BenchQuery(bench::JsonWriter* json, const BenchCase& bench_case,
   const std::string config =
       bench_case.name + " workers=" + std::to_string(workers);
 
-  // Reference result from the fused path; every timed variant must match.
-  Result<engine::QueryResult> expected =
-      engine::legacy::RunFused(bench_case.query, workers);
-  if (!expected.ok()) {
-    std::cerr << "FATAL: " << config
-              << ": fused path failed: " << expected.status().ToString()
-              << "\n";
-    std::exit(1);
-  }
-
-  const std::vector<double> fused =
-      bench::RepeatSamples(runs, bench::kDefaultWarmup, [&] {
-        const auto start = Clock::now();
-        Result<engine::QueryResult> got =
-            engine::legacy::RunFused(bench_case.query, workers);
-        const double us = SecondsSince(start) * 1e6;
-        if (!got.ok() || !(got.value() == expected.value())) std::exit(1);
-        return us;
-      });
-
   // Compile once outside the timed region (plans are reusable), then time
   // execution; compile cost is reported as its own metric.
   const auto compile_start = Clock::now();
@@ -87,64 +68,53 @@ void BenchQuery(bench::JsonWriter* json, const BenchCase& bench_case,
   engine::ExecOptions options;
   options.workers = workers;
   options.gpu_plan = false;
+  Result<engine::ExecReport> first =
+      plan::ExecutePlan(physical.value(), options);
+  if (!first.ok()) {
+    std::cerr << "FATAL: " << config
+              << ": execution failed: " << first.status().ToString() << "\n";
+    std::exit(1);
+  }
+  const engine::QueryResult expected = first.value().result;
+  const auto timed_run = [&] {
+    const auto start = Clock::now();
+    Result<engine::ExecReport> got =
+        plan::ExecutePlan(physical.value(), options);
+    const double us = SecondsSince(start) * 1e6;
+    if (!got.ok() || !(got.value().result == expected)) std::exit(1);
+    return us;
+  };
   const std::vector<double> plan_ir =
-      bench::RepeatSamples(runs, bench::kDefaultWarmup, [&] {
-        const auto start = Clock::now();
-        Result<engine::ExecReport> got =
-            plan::ExecutePlan(physical.value(), options);
-        const double us = SecondsSince(start) * 1e6;
-        if (!got.ok() || !(got.value().result == expected.value())) {
-          std::exit(1);
-        }
-        return us;
-      });
+      bench::RepeatSamples(runs, bench::kDefaultWarmup, timed_run);
 
   // Same plan with the trace recorder runtime-enabled: the full span
-  // recording cost, reported alongside the disabled-state overhead. The
+  // recording cost, reported alongside the disabled-state numbers. The
   // rings wrap silently, so long runs stay bounded.
   obs::TraceRecorder& recorder = obs::TraceRecorder::Instance();
   recorder.Clear();
   recorder.Enable();
   const std::vector<double> traced =
-      bench::RepeatSamples(runs, bench::kDefaultWarmup, [&] {
-        const auto start = Clock::now();
-        Result<engine::ExecReport> got =
-            plan::ExecutePlan(physical.value(), options);
-        const double us = SecondsSince(start) * 1e6;
-        if (!got.ok() || !(got.value().result == expected.value())) {
-          std::exit(1);
-        }
-        return us;
-      });
+      bench::RepeatSamples(runs, bench::kDefaultWarmup, timed_run);
   recorder.Disable();
   recorder.Clear();
 
-  const double fused_mean = Mean(fused);
   const double plan_ir_mean = Mean(plan_ir);
   const double traced_mean = Mean(traced);
-  const double overhead_pct =
-      fused_mean > 0.0 ? (plan_ir_mean - fused_mean) / fused_mean * 100.0
-                       : 0.0;
   const double trace_overhead_pct =
       plan_ir_mean > 0.0
           ? (traced_mean - plan_ir_mean) / plan_ir_mean * 100.0
           : 0.0;
   std::cout << "  " << config << "\n"
-            << "    fused:   " << fused_mean << " us/query\n"
             << "    plan IR: " << plan_ir_mean << " us/query (compile "
             << compile_us << " us, once)\n"
             << "    traced:  " << traced_mean
             << " us/query (recorder enabled)\n";
-  std::printf("    overhead: %+.2f%% (acceptance ceiling: +5%%)\n",
-              overhead_pct);
   std::printf("    tracing enabled: %+.2f%% over disabled\n",
               trace_overhead_pct);
 
-  json->RecordSamples("engine_query_us", "fused " + config, fused);
   json->RecordSamples("engine_query_us", "plan_ir " + config, plan_ir);
   json->RecordSamples("engine_query_us", "traced " + config, traced);
   json->Record("engine_plan_compile_us", config, compile_us, 0.0, 1);
-  json->Record("engine_plan_overhead_pct", config, overhead_pct, 0.0, runs);
   json->Record("engine_trace_overhead_pct", config, trace_overhead_pct, 0.0,
                runs);
 }
@@ -161,9 +131,9 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t rows = quick ? 50'000 : 2'000'000;
-  // Bumped from 3/kPaperRuns: the overhead-pct records gate a <=5%
-  // acceptance ceiling, and without warmup + extra runs the stderr was
-  // comparable to the ceiling itself.
+  // Bumped from 3/kPaperRuns: scripts/check.sh gates a <=5% tracing
+  // overhead on these samples, and without warmup + extra runs the
+  // stderr was comparable to the ceiling itself.
   const int runs = quick ? 5 : 15;
   // Single-core hosts report DefaultWorkerCount() == 1; always use at
   // least 2 workers so the morsel dispatch path is genuinely concurrent.
@@ -171,11 +141,11 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(2, pump::exec::DefaultWorkerCount());
 
   pump::bench::PrintBanner(
-      std::cout, "micro_engine/fused_vs_plan_ir",
+      std::cout, "micro_engine/plan_ir",
       "Per-query latency (us) over " + std::to_string(rows) +
-          " fact rows: the pre-IR fused executor vs the compiled "
-          "physical-plan IR (CPU placement, " +
-          std::to_string(workers) + " workers)");
+          " fact rows through the compiled physical-plan IR (CPU "
+          "placement, " +
+          std::to_string(workers) + " workers), recorder off and on");
 
   const pump::engine::SsbDatabase db =
       pump::engine::SsbDatabase::Generate(rows, /*seed=*/42);

@@ -7,6 +7,13 @@
 
 namespace pump::engine {
 
+namespace {
+
+/// GPU memory kept free as working space by the Fig. 11 placement.
+constexpr std::uint64_t kGpuReserveBytes = 1ull << 30;
+
+}  // namespace
+
 QueryStats StatsFromQuery(const Query& query, double scale) {
   QueryStats stats;
   if (query.fact == nullptr) return stats;
@@ -27,10 +34,17 @@ QueryStats StatsFromQuery(const Query& query, double scale) {
 Advisor::Advisor(const hw::SystemProfile* profile)
     : profile_(profile), nopa_(profile), transfer_model_(profile) {}
 
+std::uint64_t Advisor::GpuHashTableBudget(const hw::Topology& topology,
+                                          hw::DeviceId gpu) {
+  const std::uint64_t capacity = topology.memory(gpu).capacity.u64();
+  return capacity > kGpuReserveBytes ? capacity - kGpuReserveBytes : 0;
+}
+
 Result<Seconds> Advisor::Predict(
     const QueryStats& stats, hw::DeviceId device,
     transfer::TransferMethod method, hw::MemoryNodeId data_location,
-    std::vector<join::HashTablePlacement>* placements) const {
+    std::vector<join::HashTablePlacement>* placements,
+    std::vector<Seconds>* build_seconds) const {
   const hw::Topology& topo = profile_->topology;
   const hw::DeviceSpec& dev = topo.device(device);
   const bool is_gpu = dev.kind == hw::DeviceKind::kGpu;
@@ -50,11 +64,11 @@ Result<Seconds> Advisor::Predict(
       Bytes(stats.fact_rows * stats.fact_bytes_per_row) / ingest;
 
   // Per-join build and probe, with Fig. 11 placement per table: GPU
-  // memory while the tables fit (leaving 1 GiB working space), spilling
-  // the largest tables first.
-  const std::uint64_t gpu_capacity =
-      is_gpu ? topo.memory(device).capacity.u64() : 0;
-  std::uint64_t gpu_used = 1ull << 30;  // Reserved working space.
+  // memory while the tables fit the hash-table budget, the rest spilling
+  // to a hybrid GPU/CPU table.
+  const std::uint64_t gpu_budget =
+      is_gpu ? GpuHashTableBudget(topo, device) : 0;
+  std::uint64_t gpu_used = 0;
 
   Seconds build_s;
   Seconds lookups_s;
@@ -69,22 +83,25 @@ Result<Seconds> Advisor::Predict(
     join::HashTablePlacement placement;
     if (!is_gpu) {
       placement = join::HashTablePlacement::Single(device);
-    } else if (gpu_used + w.hash_table_bytes() <= gpu_capacity) {
+    } else if (gpu_used + w.hash_table_bytes() <= gpu_budget) {
       placement = join::HashTablePlacement::Single(device);
       gpu_used += w.hash_table_bytes();
     } else {
       const double fraction =
-          gpu_capacity > gpu_used
-              ? static_cast<double>(gpu_capacity - gpu_used) /
+          gpu_budget > gpu_used
+              ? static_cast<double>(gpu_budget - gpu_used) /
                     static_cast<double>(w.hash_table_bytes())
               : 0.0;
       placement = join::HashTablePlacement::Hybrid(device, data_location,
                                                    fraction);
-      gpu_used = gpu_capacity;
+      gpu_used = gpu_budget;
     }
     if (placements != nullptr) placements->push_back(placement);
 
-    build_s += dim_rows / nopa_.InsertRate(device, placement, w);
+    const Seconds join_build_s =
+        dim_rows / nopa_.InsertRate(device, placement, w);
+    if (build_seconds != nullptr) build_seconds->push_back(join_build_s);
+    build_s += join_build_s;
     lookups_s +=
         surviving / nopa_.HashTableAccessRate(device, placement, w);
   }
@@ -117,13 +134,15 @@ Result<PlanChoice> Advisor::Recommend(const QueryStats& stats,
                         : transfer::TransferMethod::kZeroCopy;
     }
     std::vector<join::HashTablePlacement> placements;
-    Result<Seconds> predicted =
-        Predict(stats, device, method, data_location, &placements);
+    std::vector<Seconds> build_seconds;
+    Result<Seconds> predicted = Predict(stats, device, method, data_location,
+                                        &placements, &build_seconds);
     if (!predicted.ok()) continue;
     if (!have_best || predicted.value() < best.predicted_seconds) {
       best.device = device;
       best.method = method;
       best.join_placements = std::move(placements);
+      best.join_build_seconds = std::move(build_seconds);
       best.predicted_seconds = predicted.value();
       best.rationale = std::string(topo.device(device).name) + " via " +
                        transfer::TransferMethodToString(method);

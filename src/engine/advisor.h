@@ -38,6 +38,9 @@ struct PlanChoice {
   hw::DeviceId device = hw::kInvalidDevice;
   transfer::TransferMethod method = transfer::TransferMethod::kCoherence;
   std::vector<join::HashTablePlacement> join_placements;
+  /// Modelled time to build each join's hash table on `device` under its
+  /// placement, in join order (part of `predicted_seconds`).
+  std::vector<Seconds> join_build_seconds;
   Seconds predicted_seconds;
   std::string rationale;
 };
@@ -51,18 +54,26 @@ class Advisor {
  public:
   explicit Advisor(const hw::SystemProfile* profile);
 
+  /// Bytes of `gpu`'s memory the Fig. 11 placement lets hash tables use:
+  /// its capacity minus a 1 GiB working-space reserve (0 when smaller).
+  static std::uint64_t GpuHashTableBudget(const hw::Topology& topology,
+                                          hw::DeviceId gpu);
+
   /// Recommends a plan for `stats`; data is assumed to live in the CPU
   /// memory node `data_location`.
   Result<PlanChoice> Recommend(const QueryStats& stats,
                                hw::MemoryNodeId data_location) const;
 
   /// Predicts the runtime of `stats` on a specific device/method (used by
-  /// Recommend; exposed for tests and what-if exploration).
+  /// Recommend; exposed for tests and what-if exploration). When given,
+  /// `placements` and `build_seconds` receive each join's hash-table
+  /// placement and modelled build time.
   Result<Seconds> Predict(const QueryStats& stats, hw::DeviceId device,
                          transfer::TransferMethod method,
                          hw::MemoryNodeId data_location,
                          std::vector<join::HashTablePlacement>* placements =
-                             nullptr) const;
+                             nullptr,
+                         std::vector<Seconds>* build_seconds = nullptr) const;
 
  private:
   const hw::SystemProfile* profile_;

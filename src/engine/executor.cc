@@ -1,6 +1,5 @@
 #include "engine/executor.h"
 
-#include "engine/legacy_fused.h"
 #include "plan/compiler.h"
 #include "plan/executor.h"
 
@@ -26,9 +25,6 @@ Result<QueryResult> Executor::Run(const Query& query, std::size_t workers) {
 
 Result<ExecReport> Executor::RunResilient(const Query& query,
                                           const ExecOptions& options) {
-  if (options.legacy_fused_for_test) {
-    return legacy::RunResilientFused(query, options);
-  }
   plan::CompileOptions compile_options;
   compile_options.policy = options.gpu_plan
                                ? plan::PlacementPolicy::kGpuPreferred

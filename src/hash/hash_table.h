@@ -17,8 +17,10 @@
 
 namespace pump::hash {
 
-/// Key sentinel marking an empty slot. Valid keys must be >= 0 (the
-/// generators produce non-negative keys).
+/// Key sentinel marking an empty slot, so it cannot be stored as a key:
+/// both table kinds reject it on Insert (PerfectHashTable as outside its
+/// [0, capacity) domain, LinearProbingHashTable explicitly). Every other
+/// key, negative ones included, is valid for the linear-probing table.
 template <typename K>
 inline constexpr K kEmptySlot = static_cast<K>(-1);
 
@@ -288,9 +290,14 @@ class LinearProbingHashTable {
   /// Inserts a tuple. Thread-safe against concurrent inserts (the key CAS
   /// claims the slot; only the winner writes the value). As with
   /// PerfectHashTable, lookups require a happens-before edge after the
-  /// build phase. Duplicate keys are rejected; fails with OutOfMemory when
-  /// the table is full.
+  /// build phase. Duplicate keys are rejected; fails with InvalidArgument
+  /// for the empty-slot sentinel and with OutOfMemory when the table is
+  /// full.
   Status Insert(K key, V value) {
+    if (key == kEmptySlot<K>) {
+      return Status::InvalidArgument(
+          "key equals the linear-probing empty-slot sentinel");
+    }
     std::size_t slot = HashKey(key) & mask_;
     for (std::size_t probes = 0; probes <= mask_; ++probes) {
       K expected = kEmptySlot<K>;

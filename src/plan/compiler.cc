@@ -21,10 +21,6 @@ using LinearTable = hash::LinearProbingHashTable<std::int64_t, std::int64_t>;
 /// the linear-probing table wins.
 constexpr double kDenseKeyDensity = 0.5;
 
-/// GPU working-space reserve subtracted from the hash-table budget
-/// (mirrors the Advisor's Fig. 11 placement math).
-constexpr std::uint64_t kGpuReserveBytes = 1ull << 30;
-
 Status Annotate(Status status, const QueryShape& shape) {
   if (status.ok()) return status;
   return Status(status.code(),
@@ -137,32 +133,29 @@ std::uint64_t DefaultGpuBudget(const hw::SystemProfile* profile) {
   const hw::Topology& topo = ProfileOrDefault(profile).topology;
   const hw::DeviceId gpu = PrimaryGpu(topo);
   if (gpu == hw::kInvalidDevice) return 0;
-  const std::uint64_t capacity = topo.memory(gpu).capacity.u64();
-  return capacity > kGpuReserveBytes ? capacity - kGpuReserveBytes : 0;
+  return engine::Advisor::GpuHashTableBudget(topo, gpu);
 }
 
 /// Cost-model placement: evaluates the whole pipeline DAG on every
 /// device via engine::Advisor (which wraps join::NopaJoinModel /
 /// transfer::TransferModel) and adopts the winner's per-join hash-table
-/// placements — placement per step, not per query.
+/// placements and modelled build times — placement per step, not per
+/// query.
 Status PlaceByCostModel(const engine::Query& query,
                         const CompileOptions& options, PhysicalPlan* plan) {
-  static const hw::SystemProfile kDefault = hw::Ac922Profile();
-  const hw::SystemProfile* profile =
-      options.profile != nullptr ? options.profile : &kDefault;
-  const engine::Advisor advisor(profile);
+  const hw::SystemProfile& profile = ProfileOrDefault(options.profile);
+  const engine::Advisor advisor(&profile);
   const engine::QueryStats stats =
       engine::StatsFromQuery(query, options.scale);
   PUMP_ASSIGN_OR_RETURN(engine::PlanChoice choice,
                         advisor.Recommend(stats, hw::kCpu0));
   const bool gpu_wins =
-      profile->topology.device(choice.device).kind == hw::DeviceKind::kGpu;
+      profile.topology.device(choice.device).kind == hw::DeviceKind::kGpu;
   plan->rationale = choice.rationale;
   plan->probe.placement = gpu_wins ? PipelinePlacement::kHeterogeneous
                                    : PipelinePlacement::kCpu;
   plan->probe.modelled_cost_s = choice.predicted_seconds.seconds();
 
-  const join::NopaJoinModel nopa(profile);
   for (std::size_t i = 0; i < plan->builds.size(); ++i) {
     BuildPipeline& build = plan->builds[i];
     const join::HashTablePlacement& placement = choice.join_placements[i];
@@ -175,17 +168,7 @@ Status PlaceByCostModel(const engine::Query& query,
       build.table_kind = HashTableKind::kHybrid;
       build.table_bytes = TableBytes(build.keys, build.table_kind);
     }
-    data::WorkloadSpec w;
-    w.key_bytes = 8;
-    w.payload_bytes = 8;
-    w.r_tuples = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               static_cast<double>(build.keys.rows) * options.scale));
-    w.s_tuples = 1;
-    const Seconds build_s =
-        static_cast<double>(w.r_tuples) /
-        nopa.InsertRate(choice.device, placement, w);
-    build.modelled_cost_s = build_s.seconds();
+    build.modelled_cost_s = choice.join_build_seconds[i].seconds();
   }
   return Status::OK();
 }

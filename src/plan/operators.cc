@@ -50,8 +50,8 @@ Result<BoundProbe> BindProbe(
     const ColumnSource& source) {
   BoundProbe bound;
   // Fixed binding order (measure, filters, probe keys): for GPU
-  // placements the source stages columns, and this order keeps the
-  // transfer-chunk fault stream aligned with the reference executor.
+  // placements the source stages columns, and this order keeps a seeded
+  // transfer-chunk fault stream replayable.
   for (const Operator& op : plan.probe.ops) {
     if (op.kind != OpKind::kAggregate) continue;
     PUMP_ASSIGN_OR_RETURN(bound.measure, source(op.column));

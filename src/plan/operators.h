@@ -25,7 +25,8 @@ class DimensionTable {
  public:
   /// Builds the table from the pipeline's dimension column (applying the
   /// dimension filter, if any). Fails with AlreadyExists on duplicate
-  /// keys, like the reference executor.
+  /// qualifying keys, and with InvalidArgument on a qualifying key the
+  /// chosen table cannot store (the linear-probing sentinel -1).
   static Result<DimensionTable> Build(const BuildPipeline& build);
 
   /// True when `key` was inserted — the semi-join probe.
@@ -84,10 +85,11 @@ using ColumnSource =
 
 /// Resolves `plan`'s probe pipeline against `tables` (one per build
 /// pipeline, in order) and `source`. Columns are resolved in the fixed
-/// order measure, filters, probe keys, so GPU staging traffic matches
-/// the reference executor chunk for chunk. Tables are shared handles so
-/// a probe can reference cache-resident builds owned jointly with other
-/// queries (plan/build_cache.h); the bound pipeline keeps them alive.
+/// order measure, filters, probe keys, so a seeded transfer-fault
+/// schedule meets the staged chunks in the same order on every run and
+/// replays identically. Tables are shared handles so a probe can
+/// reference cache-resident builds owned jointly with other queries
+/// (plan/build_cache.h); the bound pipeline keeps them alive.
 Result<BoundProbe> BindProbe(
     const PhysicalPlan& plan,
     const std::vector<std::shared_ptr<const DimensionTable>>& tables,
@@ -95,8 +97,9 @@ Result<BoundProbe> BindProbe(
 
 /// Executes the bound pipeline over fact tuples [begin, end): filter
 /// operators in order with early exit, semi-join probes in order, then
-/// the aggregate — tuple-at-a-time semantics identical to the reference
-/// executor, so results are bit-identical.
+/// the aggregate. The aggregate (count + 64-bit sum) does not depend on
+/// the order tuples arrive in, so every placement, worker count and
+/// morsel split gives a bit-identical result.
 void ProcessRange(const BoundProbe& bound, std::size_t begin,
                   std::size_t end, std::uint64_t* rows, std::int64_t* sum);
 

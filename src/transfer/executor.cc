@@ -49,7 +49,7 @@ TransferMetrics& Metrics() {
 /// (bytes moved, modelled destination node).
 Status RunChunk(const TransferFaultOptions& faults, bool um_site,
                 std::uint64_t offset, std::uint64_t len,
-                hw::MemoryNodeId node, TransferStats* stats,
+                [[maybe_unused]] hw::MemoryNodeId node, TransferStats* stats,
                 const std::function<Status()>& work) {
   PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "transfer.chunk",
                   static_cast<double>(len), static_cast<double>(node));

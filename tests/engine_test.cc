@@ -168,6 +168,16 @@ TEST_F(AdvisorTest, PrefersGpuOnNvlinkForLargeScans) {
             hw::DeviceKind::kGpu);
   EXPECT_EQ(plan.value().method, transfer::TransferMethod::kCoherence);
   EXPECT_GT(plan.value().predicted_seconds.seconds(), 0.0);
+  // One modelled build time per join, part of the predicted total.
+  ASSERT_EQ(plan.value().join_build_seconds.size(), 1u);
+  EXPECT_GT(plan.value().join_build_seconds[0].seconds(), 0.0);
+  EXPECT_LT(plan.value().join_build_seconds[0],
+            plan.value().predicted_seconds);
+}
+
+TEST_F(AdvisorTest, GpuHashTableBudgetKeepsWorkingSpaceFree) {
+  EXPECT_EQ(Advisor::GpuHashTableBudget(ibm_.topology, hw::kGpu0),
+            ibm_.topology.memory(hw::kGpu0).capacity.u64() - (1ull << 30));
 }
 
 TEST_F(AdvisorTest, PicksZeroCopyOnPcie) {

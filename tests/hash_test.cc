@@ -289,6 +289,19 @@ TEST(LinearProbingTest, NonDenseKeys) {
   }
 }
 
+TEST(LinearProbingTest, RejectsEmptySlotSentinelKey) {
+  // -1 marks an empty slot: storing it would claim a slot that Lookup
+  // still reads as empty, silently dropping the key.
+  LinearProbingHashTable<std::int64_t, std::int64_t> table(8);
+  EXPECT_EQ(table.Insert(-1, 1).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(table.Insert(-2, 2).ok());
+  ASSERT_TRUE(table.Insert(3, 3).ok());
+  std::int64_t value = 0;
+  EXPECT_FALSE(table.Lookup(-1, &value));
+  ASSERT_TRUE(table.Lookup(-2, &value));
+  EXPECT_EQ(value, 2);
+}
+
 TEST(TableStorageTest, ExternalStorageView) {
   using Storage = TableStorage<std::int64_t, std::int64_t>;
   std::vector<std::byte> backing(Storage::BytesFor(16));

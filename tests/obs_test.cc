@@ -168,7 +168,7 @@ TEST(TraceRecorderTest, SpansFromAllExecutorWorkersLandInPerThreadRings) {
   const std::size_t workers =
       std::max<std::size_t>(2, exec::DefaultWorkerCount());
   const int spans_per_worker = 200;
-  exec::ParallelFor(workers, [&](std::size_t w) {
+  exec::ParallelFor(workers, [&]([[maybe_unused]] std::size_t w) {
     for (int i = 0; i < spans_per_worker; ++i) {
       PUMP_TRACE_SPAN(obs::TraceCategory::kExec, "worker.span",
                       static_cast<double>(w), static_cast<double>(i));
@@ -406,7 +406,7 @@ TEST(QueryContextTest, ContextPropagatesToExecutorPoolThreads) {
       std::max<std::size_t>(2, exec::DefaultWorkerCount());
   {
     obs::ScopedQueryContext scope(obs::QueryContext{42, -1});
-    exec::ParallelFor(workers, [&](std::size_t w) {
+    exec::ParallelFor(workers, [&]([[maybe_unused]] std::size_t w) {
       PUMP_TRACE_INSTANT(obs::TraceCategory::kExec, "ctx.tick",
                          static_cast<double>(w));
     });
@@ -423,7 +423,7 @@ TEST(QueryContextTest, ContextPropagatesToExecutorPoolThreads) {
   }
   // Pool threads restore their idle context after the barrier: a second
   // untagged dispatch records unstamped events.
-  exec::ParallelFor(workers, [&](std::size_t w) {
+  exec::ParallelFor(workers, [&]([[maybe_unused]] std::size_t w) {
     PUMP_TRACE_INSTANT(obs::TraceCategory::kExec, "idle.tick",
                        static_cast<double>(w));
   });

@@ -1,20 +1,20 @@
 // Tests of the physical-plan IR: the golden equivalence suite (every SSB
-// query and TPC-H Q6 must be bit-identical through the preserved fused
-// path and through the plan IR, across worker counts and under injected
-// faults), the compiler's hash-table/placement choices, compile-time
-// validation with query-shape diagnostics, the structural plan
-// self-check, build-pipeline caching across the degradation ladder, and
-// the JSON dump.
+// query must equal an independent reference oracle across worker counts
+// and under injected faults, with each fault scenario's ladder outcome
+// pinned), edge inputs against the same oracle, the compiler's
+// hash-table/placement choices, compile-time validation with query-shape
+// diagnostics, the structural plan self-check, build-pipeline caching
+// across the degradation ladder, and the JSON dump.
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "data/tpch.h"
 #include "engine/executor.h"
-#include "engine/legacy_fused.h"
 #include "engine/ssb.h"
 #include "engine/table.h"
 #include "fault/fault_injector.h"
@@ -32,16 +32,89 @@ namespace pump::plan {
 namespace {
 
 // ---------------------------------------------------------------------
-// Golden equivalence: legacy fused path vs plan IR.
+// Reference oracle: plain row loops and std::unordered_set semi-joins
+// over engine::Query. It shares no plan/, hash/ or ops/ code with the
+// engine (only the ops::CompareOp enum), so a defect in the shared hash
+// tables or operators cannot give the same wrong answer on both sides.
+
+bool OracleCompare(ops::CompareOp op, std::int64_t value,
+                   std::int64_t literal) {
+  switch (op) {
+    case ops::CompareOp::kLt:
+      return value < literal;
+    case ops::CompareOp::kLe:
+      return value <= literal;
+    case ops::CompareOp::kEq:
+      return value == literal;
+    case ops::CompareOp::kGe:
+      return value >= literal;
+    case ops::CompareOp::kGt:
+      return value > literal;
+    case ops::CompareOp::kNe:
+      return value != literal;
+  }
+  return false;
+}
+
+const std::vector<std::int64_t>& OracleColumn(const engine::Table& table,
+                                              const std::string& name) {
+  return *table.Column(name).value();
+}
+
+/// COUNT(*) and SUM(measure) over the fact rows that pass every filter
+/// and whose every join key is among the dimension's qualifying keys.
+engine::QueryResult Oracle(const engine::Query& query) {
+  const engine::Table& fact = *query.fact;
+  std::vector<bool> keep(fact.rows(), true);
+  for (const engine::Filter& filter : query.filters) {
+    const auto& column = OracleColumn(fact, filter.column);
+    for (std::size_t row = 0; row < fact.rows(); ++row) {
+      keep[row] = keep[row] &&
+                  OracleCompare(filter.op, column[row], filter.literal);
+    }
+  }
+  for (const engine::JoinClause& join : query.joins) {
+    const engine::Table& dim = *join.dimension;
+    const auto& dim_keys = OracleColumn(dim, join.dim_key_column);
+    std::unordered_set<std::int64_t> qualifying;
+    for (std::size_t i = 0; i < dim_keys.size(); ++i) {
+      if (!join.has_dim_filter ||
+          OracleCompare(join.dim_filter.op,
+                        OracleColumn(dim, join.dim_filter.column)[i],
+                        join.dim_filter.literal)) {
+        qualifying.insert(dim_keys[i]);
+      }
+    }
+    const auto& fact_keys = OracleColumn(fact, join.fact_key_column);
+    for (std::size_t row = 0; row < fact.rows(); ++row) {
+      keep[row] = keep[row] && qualifying.count(fact_keys[row]) > 0;
+    }
+  }
+  engine::QueryResult result;
+  const auto& measure = OracleColumn(fact, query.measure_column);
+  for (std::size_t row = 0; row < fact.rows(); ++row) {
+    if (keep[row]) {
+      ++result.rows;
+      result.sum += measure[row];
+    }
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------
+// Golden equivalence: plan IR vs the oracle, with pinned ladder outcomes.
 
 /// One fault scenario of the golden suite. `Arm` configures a fresh
-/// injector; both paths get their own injector with the same seed, so
-/// they observe the identical deterministic fault schedule.
+/// injector with the scenario's seed, so every run observes the same
+/// deterministic fault schedule; `used_gpu`/`degraded` pin the ladder
+/// outcome the scenario must produce.
 struct FaultScenario {
   const char* name;
   std::uint64_t seed;  // 0 = no injector.
   void (*arm)(fault::FaultInjector*);
   void (*tune)(engine::ExecOptions*);
+  bool used_gpu;
+  bool degraded;
 };
 
 void ArmTransientTransfer(fault::FaultInjector* injector) {
@@ -74,11 +147,15 @@ void TuneGroupStall(engine::ExecOptions* options) {
   options->morsel_tuples = 500;
 }
 
+// Transient transfer faults retry below the ladder (no degradation);
+// device OOM spills the hash tables and a stalled group fails over, both
+// degraded but still GPU-executed.
 const FaultScenario kScenarios[] = {
-    {"fault_free", 0, nullptr, nullptr},
-    {"transient_transfer", 51, ArmTransientTransfer, TuneTransientTransfer},
-    {"device_oom", 52, ArmDeviceOom, nullptr},
-    {"group_stall", 53, ArmGroupStall, TuneGroupStall},
+    {"fault_free", 0, nullptr, nullptr, true, false},
+    {"transient_transfer", 51, ArmTransientTransfer, TuneTransientTransfer,
+     true, false},
+    {"device_oom", 52, ArmDeviceOom, nullptr, true, true},
+    {"group_stall", 53, ArmGroupStall, TuneGroupStall, true, true},
 };
 
 class GoldenEquivalenceTest : public ::testing::Test {
@@ -96,11 +173,17 @@ class GoldenEquivalenceTest : public ::testing::Test {
 
 const engine::SsbDatabase* GoldenEquivalenceTest::db_ = nullptr;
 
-TEST_F(GoldenEquivalenceTest, SsbSuiteMatchesAcrossPathsWorkersAndFaults) {
+TEST_F(GoldenEquivalenceTest, SsbSuiteMatchesOracleAcrossWorkersAndFaults) {
   for (const engine::NamedQuery& named : engine::SsbSuite(*db_)) {
-    const engine::QueryResult reference =
-        engine::Executor::Run(named.query, 2).value();
+    const engine::QueryResult expected = Oracle(named.query);
     for (const std::size_t workers : {1u, 2u, 4u}) {
+      {
+        SCOPED_TRACE(std::string(named.name) +
+                     " workers=" + std::to_string(workers) + " plain");
+        const auto plain = engine::Executor::Run(named.query, workers);
+        ASSERT_TRUE(plain.ok()) << plain.status();
+        EXPECT_EQ(plain.value(), expected);
+      }
       for (const FaultScenario& scenario : kScenarios) {
         SCOPED_TRACE(std::string(named.name) +
                      " workers=" + std::to_string(workers) + " " +
@@ -109,49 +192,142 @@ TEST_F(GoldenEquivalenceTest, SsbSuiteMatchesAcrossPathsWorkersAndFaults) {
         options.workers = workers;
         options.morsel_tuples = 1'000;
         if (scenario.tune != nullptr) scenario.tune(&options);
-
-        fault::FaultInjector legacy_injector(scenario.seed);
-        engine::ExecOptions legacy_options = options;
-        legacy_options.legacy_fused_for_test = true;
+        fault::FaultInjector injector(scenario.seed);
         if (scenario.arm != nullptr) {
-          scenario.arm(&legacy_injector);
-          legacy_options.injector = &legacy_injector;
+          scenario.arm(&injector);
+          options.injector = &injector;
         }
-        auto legacy =
-            engine::Executor::RunResilient(named.query, legacy_options);
-        ASSERT_TRUE(legacy.ok()) << legacy.status();
-
-        fault::FaultInjector plan_injector(scenario.seed);
-        engine::ExecOptions plan_options = options;
-        if (scenario.arm != nullptr) {
-          scenario.arm(&plan_injector);
-          plan_options.injector = &plan_injector;
-        }
-        auto via_plan =
-            engine::Executor::RunResilient(named.query, plan_options);
-        ASSERT_TRUE(via_plan.ok()) << via_plan.status();
-
-        // Bit-identical results, and the same ladder outcome.
-        EXPECT_EQ(via_plan.value().result, legacy.value().result);
-        EXPECT_EQ(via_plan.value().result, reference);
-        EXPECT_EQ(via_plan.value().used_gpu, legacy.value().used_gpu);
-        EXPECT_EQ(via_plan.value().degraded, legacy.value().degraded);
+        const auto report =
+            engine::Executor::RunResilient(named.query, options);
+        ASSERT_TRUE(report.ok()) << report.status();
+        EXPECT_EQ(report.value().result, expected);
+        EXPECT_EQ(report.value().used_gpu, scenario.used_gpu);
+        EXPECT_EQ(report.value().degraded, scenario.degraded);
       }
     }
   }
 }
 
-TEST_F(GoldenEquivalenceTest, PlainRunMatchesLegacyFused) {
-  for (const engine::NamedQuery& named : engine::SsbSuite(*db_)) {
-    for (const std::size_t workers : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(named.name) +
-                   " workers=" + std::to_string(workers));
-      const auto fused = engine::legacy::RunFused(named.query, workers);
-      ASSERT_TRUE(fused.ok()) << fused.status();
-      const auto via_plan = engine::Executor::Run(named.query, workers);
-      ASSERT_TRUE(via_plan.ok()) << via_plan.status();
-      EXPECT_EQ(via_plan.value(), fused.value());
+// ---------------------------------------------------------------------
+// Edge inputs: small hand-built one-join queries against the oracle,
+// under both the CPU and the GPU placement.
+
+constexpr PlacementPolicy kEdgePolicies[] = {PlacementPolicy::kCpuOnly,
+                                             PlacementPolicy::kGpuPreferred};
+
+/// Fills `fact` (f_key, f_measure = 1, 2, 4, ...) and `dim` (d_key, plus
+/// d_flag when `dim_flags` is non-empty) and returns
+///   SELECT SUM(f_measure) FROM fact JOIN dim ON f_key = d_key
+///   [WHERE d_flag = 1].
+engine::Query OneJoinQuery(engine::Table* fact, engine::Table* dim,
+                           const std::vector<std::int64_t>& fact_keys,
+                           const std::vector<std::int64_t>& dim_keys,
+                           const std::vector<std::int64_t>& dim_flags) {
+  std::vector<std::int64_t> measure;
+  for (std::size_t i = 0; i < fact_keys.size(); ++i) {
+    measure.push_back(std::int64_t{1} << i);
+  }
+  EXPECT_TRUE(fact->AddColumn("f_key", fact_keys).ok());
+  EXPECT_TRUE(fact->AddColumn("f_measure", measure).ok());
+  EXPECT_TRUE(dim->AddColumn("d_key", dim_keys).ok());
+  engine::JoinClause join;
+  join.fact_key_column = "f_key";
+  join.dimension = dim;
+  join.dim_key_column = "d_key";
+  if (!dim_flags.empty()) {
+    EXPECT_TRUE(dim->AddColumn("d_flag", dim_flags).ok());
+    join.dim_filter = {"d_flag", ops::CompareOp::kEq, 1};
+    join.has_dim_filter = true;
+  }
+  engine::Query query;
+  query.fact = fact;
+  query.measure_column = "f_measure";
+  query.joins.push_back(join);
+  return query;
+}
+
+/// Compiles `query` under `policy` and executes it with two workers.
+Result<engine::QueryResult> RunUnderPolicy(const engine::Query& query,
+                                           PlacementPolicy policy) {
+  CompileOptions compile_options;
+  compile_options.policy = policy;
+  PUMP_ASSIGN_OR_RETURN(const PhysicalPlan plan,
+                        Compile(query, compile_options));
+  engine::ExecOptions options;
+  options.workers = 2;
+  PUMP_ASSIGN_OR_RETURN(const engine::ExecReport report,
+                        ExecutePlan(plan, options));
+  return report.result;
+}
+
+TEST(EdgeInputTest, HandBuiltQueriesMatchOracle) {
+  struct Case {
+    const char* name;
+    std::vector<std::int64_t> fact_keys;
+    std::vector<std::int64_t> dim_keys;
+    std::vector<std::int64_t> dim_flags;  // Empty = no dimension filter.
+  };
+  const Case cases[] = {
+      {"empty fact table", {}, {1, 2}, {}},
+      {"empty dimension", {1, 2, 3}, {}, {}},
+      {"filter keeps no dimension row", {0, 1, 2, 1}, {0, 1, 2}, {0, 0, 0}},
+      {"duplicates only among filtered-out rows",
+       {5, 6, 9, 6, 5},
+       {5, 6, 6, 9, 9},
+       {1, 1, 0, 0, 0}},
+      {"negative keys other than -1", {-5, -2, 3, -7, -2}, {-5, -2, 3, 8}, {}},
+  };
+  for (const Case& c : cases) {
+    engine::Table fact;
+    engine::Table dim;
+    const engine::Query query =
+        OneJoinQuery(&fact, &dim, c.fact_keys, c.dim_keys, c.dim_flags);
+    const engine::QueryResult expected = Oracle(query);
+    for (const PlacementPolicy policy : kEdgePolicies) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (policy == PlacementPolicy::kCpuOnly ? " cpu" : " gpu"));
+      const auto got = RunUnderPolicy(query, policy);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got.value(), expected);
     }
+  }
+
+  // A key that qualifies twice has no semi-join answer: the build fails.
+  engine::Table fact;
+  engine::Table dim;
+  const engine::Query duplicate =
+      OneJoinQuery(&fact, &dim, {4, 5}, {4, 4, 5}, {});
+  for (const PlacementPolicy policy : kEdgePolicies) {
+    EXPECT_EQ(RunUnderPolicy(duplicate, policy).status().code(),
+              StatusCode::kAlreadyExists);
+  }
+}
+
+TEST(EdgeInputTest, SentinelDimensionKeyFailsInsteadOfDroppingRows) {
+  // -1 is the linear-probing empty-slot sentinel. Storing it would claim
+  // a slot that lookups still read as empty and drop both -1 fact rows
+  // (rows=1 sum=2 instead of the oracle's rows=3 sum=7), so the build
+  // must fail instead.
+  engine::Table fact;
+  engine::Table dim;
+  const engine::Query query =
+      OneJoinQuery(&fact, &dim, {-1, 3, -1, 7}, {-1, 3}, {});
+  EXPECT_EQ(Oracle(query), (engine::QueryResult{3, 1 + 2 + 4}));
+  for (const PlacementPolicy policy : kEdgePolicies) {
+    EXPECT_EQ(RunUnderPolicy(query, policy).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // Only qualifying keys reach the table: a -1 in a filtered-out
+  // dimension row is harmless.
+  engine::Table filtered_fact;
+  engine::Table filtered_dim;
+  const engine::Query filtered = OneJoinQuery(
+      &filtered_fact, &filtered_dim, {-1, 3, -1, 7}, {-1, 3}, {0, 1});
+  for (const PlacementPolicy policy : kEdgePolicies) {
+    const auto got = RunUnderPolicy(filtered, policy);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got.value(), Oracle(filtered));
   }
 }
 
@@ -275,8 +451,7 @@ TEST_F(CompilerTest, CostModelPolicyRecordsRationaleAndCosts) {
   // Whatever the model picked must execute to the reference result.
   const auto report = ExecutePlan(plan.value(), {});
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report.value().result,
-            engine::Executor::Run(engine::SsbQ2(db_), 2).value());
+  EXPECT_EQ(report.value().result, Oracle(q2_));
 }
 
 TEST_F(CompilerTest, ProbeOperatorsAreFiltersThenProbesThenAggregate) {
@@ -380,9 +555,6 @@ TEST_F(CompilerTest, ValidatePlanRejectsStructuralCorruption) {
 
 TEST_F(CompilerTest, ProbeFailureReusesCachedBuildsInsteadOfRebuilding) {
   const engine::Query query = engine::SsbQ3(db_);  // Three joins.
-  const engine::QueryResult reference =
-      engine::Executor::Run(query, 2).value();
-
   fault::FaultInjector injector(61);
   fault::FaultSpec spec;
   spec.probability = 1.0;  // Every pipeline's GPU stage fails.
@@ -404,7 +576,7 @@ TEST_F(CompilerTest, ProbeFailureReusesCachedBuildsInsteadOfRebuilding) {
   EXPECT_EQ(report.value().dim_tables_reused, 3u);
   EXPECT_NE(report.value().degradation_reason.find("fell back to CPU"),
             std::string::npos);
-  EXPECT_EQ(report.value().result, reference);
+  EXPECT_EQ(report.value().result, Oracle(query));
 }
 
 TEST_F(CompilerTest, GpuOomSpillDoesNotDiscardBuilds) {
@@ -423,8 +595,7 @@ TEST_F(CompilerTest, GpuOomSpillDoesNotDiscardBuilds) {
   EXPECT_TRUE(report.value().used_gpu);  // Spill, not fallback.
   EXPECT_EQ(report.value().dim_tables_built, 2u);
   EXPECT_EQ(report.value().dim_tables_reused, 0u);
-  EXPECT_EQ(report.value().result,
-            engine::Executor::Run(query, 2).value());
+  EXPECT_EQ(report.value().result, Oracle(query));
 }
 
 // ---------------------------------------------------------------------
@@ -548,6 +719,7 @@ TEST_F(ShardedMeshTest, ShardedPlansMatchSingleDeviceAcrossMeshesAndWorkers) {
     const auto reference = ExecutePlan(reference_plan.value(),
                                        reference_exec);
     ASSERT_TRUE(reference.ok()) << name << ": " << reference.status();
+    EXPECT_EQ(reference.value().result, Oracle(query)) << name;
 
     for (const Mesh& mesh : meshes) {
       const auto plan = Compile(query, ShardedOptions(mesh.profile));
