@@ -67,7 +67,6 @@ void BenchQuery(bench::JsonWriter* json, const BenchCase& bench_case,
   }
   engine::ExecOptions options;
   options.workers = workers;
-  options.gpu_plan = false;
   Result<engine::ExecReport> first =
       plan::ExecutePlan(physical.value(), options);
   if (!first.ok()) {

@@ -36,10 +36,10 @@
 #      in both JSON and Prometheus text exposition
 #   7d. bench_check.py synthetic smoke: a fabricated regression must exit
 #      nonzero, the clean case zero (the --check watchdog's own test)
-#   8. disabled-tracing overhead guard: micro_engine's plan IR with spans
-#      compiled in but the recorder off (build-release) must average
-#      <= 5% over the same binary built with PUMP_TRACE=OFF
-#      (build-notrace), the two run alternately at full size
+#   8. PUMP_TRACE=OFF tree (build-notrace): all tests, then the overhead
+#      guard: micro_engine's plan IR with spans compiled in but the
+#      recorder off (build-release) must average <= 5% over the same
+#      binary built with PUMP_TRACE=OFF, the two run alternately
 #   9. clang-tidy over src/tests/bench/tools (skipped when not installed)
 #
 # Usage: scripts/check.sh [-j N]
@@ -59,9 +59,10 @@ say() { printf '\n==> %s\n' "$*"; }
 
 configure_and_test() {
   local dir="$1" sanitize="$2" test_regex="$3"
-  say "configure $dir (PUMP_SANITIZE='$sanitize')"
+  shift 3
+  say "configure $dir (PUMP_SANITIZE='$sanitize'${*:+ $*})"
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release \
-        -DPUMP_SANITIZE="$sanitize" >/dev/null
+        -DPUMP_SANITIZE="$sanitize" "$@" >/dev/null
   say "build $dir"
   cmake --build "$dir" -j "$JOBS"
   say "test $dir${test_regex:+ (filter: $test_regex)}"
@@ -524,18 +525,16 @@ assert run("bad") != 0, "bench_check passed a 2x regression"
 print("watchdog self-test OK: clean -> 0, regression -> nonzero")
 PY
 
-# 8. Overhead guard: with the recorder off, the compiled-in span
-#    instrumentation must cost <= 5% on average over the same bench built
-#    with the spans compiled out (PUMP_TRACE=OFF). The two micro_engine
-#    binaries run alternately at full size, in ABBA order, so drift on a
-#    shared host hits both sides alike. Each side's per-query figure is
-#    the median across rounds of that run's `engine_query_us plan_ir`
-#    median; the gate is on the mean of the per-query overheads.
-say "configure build-notrace (PUMP_TRACE=OFF)"
-cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
-      -DPUMP_TRACE=OFF >/dev/null
-say "build build-notrace (micro_engine only)"
-cmake --build build-notrace -j "$JOBS" --target micro_engine
+# 8. PUMP_TRACE=OFF: the whole tree builds and passes its tests (the
+#    recording tests check there that the macros record nothing). Then
+#    the overhead guard: with the recorder off, the compiled-in spans
+#    must cost <= 5% on average over the same bench built without them.
+#    The two micro_engine binaries run alternately at full size, in ABBA
+#    order, so drift on a shared host hits both sides alike. Each side's
+#    per-query figure is the median across rounds of that run's
+#    `engine_query_us plan_ir` median; the gate is on the mean of the
+#    per-query overheads.
+configure_and_test build-notrace "" "" -DPUMP_TRACE=OFF
 
 say "disabled-tracing overhead guard: release vs PUMP_TRACE=OFF (mean <= 5%)"
 OVERHEAD_ROUNDS=10

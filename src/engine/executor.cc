@@ -17,7 +17,6 @@ Result<QueryResult> Executor::Run(const Query& query, std::size_t workers) {
                         plan::Compile(query, compile_options));
   ExecOptions options;
   options.workers = workers;
-  options.gpu_plan = false;
   PUMP_ASSIGN_OR_RETURN(const ExecReport report,
                         plan::ExecutePlan(physical, options));
   return report.result;

@@ -24,8 +24,9 @@ struct ExecReport;
 struct ExecOptions {
   /// Worker threads of the CPU probe pipeline (and the CPU fallback plan).
   std::size_t workers = 1;
-  /// Attempt the GPU-placed plan first; fall back to the CPU plan on an
-  /// unrecoverable fault. When false, only the CPU plan runs.
+  /// Executor::RunResilient compiles under kGpuPreferred when true,
+  /// kCpuOnly when false. Nothing else reads it: plan::ExecutePlan
+  /// follows the placements of the plan it is given.
   bool gpu_plan = true;
   /// Fault injector threaded through every layer of the GPU plan
   /// (transfer chunks, device allocation, scheduler groups). Null = no

@@ -102,19 +102,27 @@ std::uint64_t TableBytes(const KeyStats& keys, HashTableKind kind) {
       LinearTable::CapacityFor(std::max<std::size_t>(1, keys.rows), 0.5));
 }
 
-/// Hash-table selection matrix (DESIGN.md Sec. 10): perfect for dense
-/// key domains, hybrid when a dense table exceeds the GPU budget of a
-/// GPU-side placement, linear probing otherwise.
-HashTableKind ChooseTableKind(const KeyStats& keys, bool gpu_placed,
-                              std::uint64_t budget_bytes,
+/// Hash-table selection matrix (DESIGN.md Sec. 10), applied after
+/// placement: perfect for dense key domains, hybrid when a GPU-placed
+/// dense table exceeds the headroom its predecessors left or the cost
+/// model split it across memories, linear probing otherwise. Only
+/// GPU-placed tables draw on the headroom.
+HashTableKind ChooseTableKind(const BuildPipeline& build, bool split,
+                              std::uint64_t headroom,
                               std::uint64_t* gpu_used) {
-  if (!DenseKeys(keys)) return HashTableKind::kLinearProbing;
-  const std::uint64_t bytes = TableBytes(keys, HashTableKind::kPerfect);
-  if (gpu_placed) {
-    if (*gpu_used + bytes > budget_bytes) return HashTableKind::kHybrid;
-    *gpu_used += bytes;
+  if (!DenseKeys(build.keys)) return HashTableKind::kLinearProbing;
+  if (build.placement == PipelinePlacement::kCpu) {
+    return HashTableKind::kPerfect;
   }
-  return HashTableKind::kPerfect;
+  const std::uint64_t bytes = TableBytes(build.keys, HashTableKind::kPerfect);
+  if (*gpu_used + bytes > headroom) return HashTableKind::kHybrid;
+  *gpu_used += bytes;
+  return split ? HashTableKind::kHybrid : HashTableKind::kPerfect;
+}
+
+void AppendNote(PhysicalPlan* plan, const std::string& note) {
+  if (!plan->rationale.empty()) plan->rationale += "; ";
+  plan->rationale += note;
 }
 
 const hw::SystemProfile& ProfileOrDefault(const hw::SystemProfile* profile) {
@@ -122,27 +130,61 @@ const hw::SystemProfile& ProfileOrDefault(const hw::SystemProfile* profile) {
   return profile != nullptr ? *profile : kDefault;
 }
 
-/// First GPU of the topology — the primary device of single-GPU plans.
-hw::DeviceId PrimaryGpu(const hw::Topology& topo) {
-  const std::vector<hw::DeviceId> gpus =
-      topo.DevicesOfKind(hw::DeviceKind::kGpu);
-  return gpus.empty() ? hw::kInvalidDevice : gpus.front();
-}
-
-std::uint64_t DefaultGpuBudget(const hw::SystemProfile* profile) {
-  const hw::Topology& topo = ProfileOrDefault(profile).topology;
-  const hw::DeviceId gpu = PrimaryGpu(topo);
-  if (gpu == hw::kInvalidDevice) return 0;
-  return engine::Advisor::GpuHashTableBudget(topo, gpu);
+/// GPU pressure, decided once per compilation from the per-device
+/// in-flight pools: the candidate devices (`shard_devices`, else the
+/// profile's primary GPU) minus every device whose pool already holds
+/// the whole budget (by default the Advisor's hash-table budget of the
+/// primary GPU). `*headroom` receives the smallest budget remainder
+/// among the survivors. Empty means every pool is saturated.
+Result<DeviceSet> LiveDevices(const CompileOptions& options,
+                              std::uint64_t* headroom, PhysicalPlan* plan) {
+  const hw::Topology& topo = ProfileOrDefault(options.profile).topology;
+  // The first GPU is the primary device of single-GPU plans.
+  const DeviceSet gpus = topo.DevicesOfKind(hw::DeviceKind::kGpu);
+  DeviceSet candidates = options.shard_devices;
+  std::uint64_t budget = options.gpu_budget_bytes;
+  if (!gpus.empty()) {
+    if (candidates.empty()) candidates.push_back(gpus.front());
+    if (budget == 0) {
+      budget = engine::Advisor::GpuHashTableBudget(topo, gpus.front());
+    }
+  }
+  DeviceSet live;
+  *headroom = budget;
+  for (hw::DeviceId d : candidates) {
+    if (d < 0 || static_cast<std::size_t>(d) >= topo.device_count() ||
+        topo.device(d).kind != hw::DeviceKind::kGpu) {
+      return Status::InvalidArgument(
+          "shard device " + std::to_string(d) +
+          " is not a GPU of the profile topology");
+    }
+    std::uint64_t in_use = 0;
+    if (options.device_budget_in_use != nullptr) {
+      const auto it = options.device_budget_in_use->find(d);
+      if (it != options.device_budget_in_use->end()) in_use = it->second;
+    }
+    if (in_use >= budget) {
+      AppendNote(plan, "device " + std::to_string(d) + " pool saturated (" +
+                           std::to_string(in_use) + "/" +
+                           std::to_string(budget) +
+                           " bytes); dropped from shard set");
+      continue;
+    }
+    live.push_back(d);
+    *headroom = std::min(*headroom, budget - in_use);
+  }
+  return live;
 }
 
 /// Cost-model placement: evaluates the whole pipeline DAG on every
 /// device via engine::Advisor (which wraps join::NopaJoinModel /
 /// transfer::TransferModel) and adopts the winner's per-join hash-table
 /// placements and modelled build times — placement per step, not per
-/// query.
+/// query. `split[i]` marks a GPU-placed build whose table the Advisor
+/// splits across memories.
 Status PlaceByCostModel(const engine::Query& query,
-                        const CompileOptions& options, PhysicalPlan* plan) {
+                        const CompileOptions& options, PhysicalPlan* plan,
+                        std::vector<bool>* split) {
   const hw::SystemProfile& profile = ProfileOrDefault(options.profile);
   const engine::Advisor advisor(&profile);
   const engine::QueryStats stats =
@@ -151,7 +193,7 @@ Status PlaceByCostModel(const engine::Query& query,
                         advisor.Recommend(stats, hw::kCpu0));
   const bool gpu_wins =
       profile.topology.device(choice.device).kind == hw::DeviceKind::kGpu;
-  plan->rationale = choice.rationale;
+  AppendNote(plan, choice.rationale);
   plan->probe.placement = gpu_wins ? PipelinePlacement::kHeterogeneous
                                    : PipelinePlacement::kCpu;
   plan->probe.modelled_cost_s = choice.predicted_seconds.seconds();
@@ -164,10 +206,7 @@ Status PlaceByCostModel(const engine::Query& query,
         placement.parts[0].node == choice.device;
     build.placement =
         gpu_placed ? PipelinePlacement::kGpu : PipelinePlacement::kCpu;
-    if (gpu_placed && placement.parts.size() > 1 && DenseKeys(build.keys)) {
-      build.table_kind = HashTableKind::kHybrid;
-      build.table_bytes = TableBytes(build.keys, build.table_kind);
-    }
+    (*split)[i] = gpu_placed && placement.parts.size() > 1;
     build.modelled_cost_s = choice.join_build_seconds[i].seconds();
   }
   return Status::OK();
@@ -181,219 +220,16 @@ std::uint64_t StagedProbeBytes(const PhysicalPlan& plan) {
          plan.shape.fact_rows * sizeof(std::int64_t);
 }
 
-/// Device-set placement (the "which devices", not "which side" pass):
-/// validates the shard candidates against the profile topology, drops
-/// candidates whose per-device pool is saturated (admission degrades
-/// shard-by-shard before it degrades to CPU), scores candidate subsets
-/// under the cost-model policy by per-shard probe time plus modelled
-/// exchange cost, and annotates the plan with its shard descriptor,
-/// per-pipeline device sets and exchange stage.
-Status PlaceShards(const CompileOptions& options, std::uint64_t budget,
-                   PhysicalPlan* plan) {
-  const hw::SystemProfile& profile = ProfileOrDefault(options.profile);
-  const hw::Topology& topo = profile.topology;
-
-  DeviceSet candidates = options.shard_devices;
-  if (candidates.empty()) {
-    const hw::DeviceId primary = PrimaryGpu(topo);
-    if (primary == hw::kInvalidDevice) return Status::OK();
-    candidates.push_back(primary);
-  }
-  for (hw::DeviceId d : candidates) {
-    if (d < 0 || static_cast<std::size_t>(d) >= topo.device_count() ||
-        topo.device(d).kind != hw::DeviceKind::kGpu) {
-      return Status::InvalidArgument(
-          "shard device " + std::to_string(d) +
-          " is not a GPU of the profile topology");
-    }
-  }
-
-  // Per-device admission: a candidate whose pool has no headroom left is
-  // dropped; the remaining shards absorb its share.
-  DeviceSet live;
-  for (hw::DeviceId d : candidates) {
-    std::uint64_t in_use = 0;
-    if (options.device_budget_in_use != nullptr) {
-      const auto it = options.device_budget_in_use->find(d);
-      if (it != options.device_budget_in_use->end()) in_use = it->second;
-    }
-    if (in_use >= budget) {
-      if (!plan->rationale.empty()) plan->rationale += "; ";
-      plan->rationale += "device " + std::to_string(d) +
-                         " pool saturated (" + std::to_string(in_use) + "/" +
-                         std::to_string(budget) +
-                         " bytes); dropped from shard set";
-      continue;
-    }
-    live.push_back(d);
-  }
-  if (live.empty()) {
-    plan->forced_cpu_by_pressure = true;
-    if (!plan->rationale.empty()) plan->rationale += "; ";
-    plan->rationale += "all shard device pools saturated; forced CPU placement";
-    plan->probe.placement = PipelinePlacement::kCpu;
-    plan->probe.device_set.clear();
-    for (BuildPipeline& build : plan->builds) {
-      build.placement = PipelinePlacement::kCpu;
-      build.device_set.clear();
-    }
-    return Status::OK();
-  }
-
-  // The cost-model policy scores every prefix of the candidate list:
-  // probe work divides across the shards, exchange cost grows with them.
-  DeviceSet chosen = live;
-  if (options.policy == PlacementPolicy::kCostModel && live.size() > 1 &&
-      plan->probe.placement != PipelinePlacement::kCpu) {
-    const std::uint64_t staged = StagedProbeBytes(*plan);
-    const double probe_s = std::max(plan->probe.modelled_cost_s, 1e-9);
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t n = 1; n <= live.size(); ++n) {
-      DeviceSet prefix(live.begin(), live.begin() + n);
-      PUMP_ASSIGN_OR_RETURN(ExchangeStage exchange,
-                            PlanExchange(topo, prefix, staged));
-      const double score =
-          probe_s / static_cast<double>(n) + exchange.modelled_cost_s;
-      if (score < best) {
-        best = score;
-        chosen = std::move(prefix);
-      }
-    }
-    if (!plan->rationale.empty()) plan->rationale += "; ";
-    plan->rationale += "cost model kept " + std::to_string(chosen.size()) +
-                       " of " + std::to_string(live.size()) +
-                       " shard candidates (modelled " +
-                       std::to_string(best) + " s on " + profile.name + ")";
-  }
-
-  plan->shard.devices = chosen;
-  if (plan->probe.placement != PipelinePlacement::kCpu) {
-    plan->probe.device_set = chosen;
-  }
-  for (BuildPipeline& build : plan->builds) {
-    if (build.placement != PipelinePlacement::kCpu) {
-      build.device_set = chosen;
-    }
-  }
-  if (plan->probe.placement != PipelinePlacement::kCpu) {
-    PUMP_ASSIGN_OR_RETURN(
-        plan->exchange, PlanExchange(topo, chosen, StagedProbeBytes(*plan)));
-    if (plan->shard.active()) {
-      if (!plan->rationale.empty()) plan->rationale += "; ";
-      plan->rationale += "sharded across " +
-                         std::to_string(chosen.size()) +
-                         " devices; modelled exchange " +
-                         std::to_string(plan->exchange.modelled_cost_s) +
-                         " s";
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<PhysicalPlan> Compile(const engine::Query& query,
-                             const CompileOptions& options) {
-  PhysicalPlan plan;
-  plan.query = &query;
-  plan.shape.fact_rows = query.fact != nullptr ? query.fact->rows() : 0;
-  plan.shape.filters = query.filters.size();
-  plan.shape.joins = query.joins.size();
-  PUMP_RETURN_NOT_OK(Validate(query, plan.shape));
-
-  const bool gpu_requested = options.policy != PlacementPolicy::kCpuOnly;
-  const std::uint64_t budget = options.gpu_budget_bytes != 0
-                                   ? options.gpu_budget_bytes
-                                   : DefaultGpuBudget(options.profile);
-  // Concurrency pressure: bytes already committed to in-flight queries
-  // shrink this compilation's budget. A fully saturated budget forces
-  // the whole plan onto the CPU — degrading placement is bounded work,
-  // waiting for device memory is not.
-  const std::uint64_t effective_budget =
-      budget > options.gpu_budget_in_use_bytes
-          ? budget - options.gpu_budget_in_use_bytes
-          : 0;
-  const bool saturated = gpu_requested && effective_budget == 0;
-  const bool gpu_policy = gpu_requested && !saturated;
-  if (saturated) {
-    plan.forced_cpu_by_pressure = true;
-    plan.rationale =
-        "gpu budget saturated (" +
-        std::to_string(options.gpu_budget_in_use_bytes) + "/" +
-        std::to_string(budget) + " bytes in use); forced CPU placement";
-  }
-  std::uint64_t gpu_used = 0;
-
-  // One build pipeline per join clause.
-  for (std::size_t j = 0; j < query.joins.size(); ++j) {
-    const engine::JoinClause& join = query.joins[j];
-    BuildPipeline build;
-    build.join_index = j;
-    build.dimension = join.dimension;
-    build.key_column = join.dim_key_column;
-    build.dim_filter = join.dim_filter;
-    build.has_dim_filter = join.has_dim_filter;
-    PUMP_ASSIGN_OR_RETURN(const auto* keys,
-                          join.dimension->Column(join.dim_key_column));
-    build.keys = GatherKeyStats(*keys);
-    build.placement =
-        gpu_policy ? PipelinePlacement::kGpu : PipelinePlacement::kCpu;
-    build.table_kind = ChooseTableKind(build.keys, gpu_policy,
-                                       effective_budget, &gpu_used);
-    build.table_bytes = TableBytes(build.keys, build.table_kind);
-    plan.builds.push_back(std::move(build));
-  }
-
-  // The probe pipeline: filters in query order, probes in join order,
-  // one trailing aggregate — the operator order fixes the evaluation
-  // order, which is what makes plans bit-identical to the reference.
-  for (const engine::Filter& filter : query.filters) {
-    Operator op;
-    op.kind = OpKind::kScanFilter;
-    op.column = filter.column;
-    op.op = filter.op;
-    op.literal = filter.literal;
-    plan.probe.ops.push_back(std::move(op));
-  }
-  for (std::size_t j = 0; j < query.joins.size(); ++j) {
-    Operator op;
-    op.kind = OpKind::kProbe;
-    op.column = query.joins[j].fact_key_column;
-    op.build_index = j;
-    plan.probe.ops.push_back(std::move(op));
-  }
-  {
-    Operator op;
-    op.kind = OpKind::kAggregate;
-    op.column = query.measure_column;
-    plan.probe.ops.push_back(std::move(op));
-  }
-  plan.probe.placement = gpu_policy ? PipelinePlacement::kHeterogeneous
-                                    : PipelinePlacement::kCpu;
-
-  if (options.policy == PlacementPolicy::kCostModel && !saturated) {
-    PUMP_RETURN_NOT_OK(PlaceByCostModel(query, options, &plan));
-  }
-  plan.profile = options.profile;
-  if (gpu_policy && plan.UsesGpu()) {
-    PUMP_RETURN_NOT_OK(PlaceShards(options, budget, &plan));
-  }
-  return plan;
-}
-
+/// Plans the all-to-all exchange of `devices` (GPUs of `topology`): one
+/// route per ordered pair, minimum-hop, with the modelled cost (busiest
+/// link's transfer time for an evenly hash-partitioned `total_bytes`,
+/// plus the longest route's hop latency).
 Result<ExchangeStage> PlanExchange(const hw::Topology& topology,
                                    const DeviceSet& devices,
                                    std::uint64_t total_bytes) {
   ExchangeStage stage;
   const std::size_t n = devices.size();
   if (n <= 1) return stage;
-  for (hw::DeviceId d : devices) {
-    if (d < 0 || static_cast<std::size_t>(d) >= topology.device_count() ||
-        topology.device(d).kind != hw::DeviceKind::kGpu) {
-      return Status::InvalidArgument("exchange device " + std::to_string(d) +
-                                     " is not a GPU of the topology");
-    }
-  }
 
   // Evenly hash-partitioned tuples: each ordered (src, dst) pair moves
   // total / n^2 bytes. Links are full-duplex (Sec. 2.2), so loads
@@ -457,30 +293,155 @@ Result<ExchangeStage> PlanExchange(const hw::Topology& topology,
   return stage;
 }
 
-std::uint64_t EstimatedGpuFootprintBytes(const PhysicalPlan& plan) {
-  std::uint64_t bytes = 0;
-  for (const BuildPipeline& build : plan.builds) {
+/// Device-set placement over the live devices (the "which devices", not
+/// "which side" pass): under the cost-model policy, scores candidate
+/// subsets by per-shard probe time plus modelled exchange cost, then
+/// annotates the plan with its shard descriptor, per-pipeline device
+/// sets and exchange stage.
+Status PlaceShards(const CompileOptions& options, const DeviceSet& live,
+                   PhysicalPlan* plan) {
+  const hw::SystemProfile& profile = ProfileOrDefault(options.profile);
+  const hw::Topology& topo = profile.topology;
+
+  // The cost-model policy scores every prefix of the candidate list:
+  // probe work divides across the shards, exchange cost grows with them.
+  DeviceSet chosen = live;
+  if (options.policy == PlacementPolicy::kCostModel && live.size() > 1 &&
+      plan->probe.placement != PipelinePlacement::kCpu) {
+    const std::uint64_t staged = StagedProbeBytes(*plan);
+    const double probe_s = std::max(plan->probe.modelled_cost_s, 1e-9);
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t n = 1; n <= live.size(); ++n) {
+      DeviceSet prefix(live.begin(), live.begin() + n);
+      PUMP_ASSIGN_OR_RETURN(ExchangeStage exchange,
+                            PlanExchange(topo, prefix, staged));
+      const double score =
+          probe_s / static_cast<double>(n) + exchange.modelled_cost_s;
+      if (score < best) {
+        best = score;
+        chosen = std::move(prefix);
+      }
+    }
+    AppendNote(plan, "cost model kept " + std::to_string(chosen.size()) +
+                         " of " + std::to_string(live.size()) +
+                         " shard candidates (modelled " +
+                         std::to_string(best) + " s on " + profile.name +
+                         ")");
+  }
+
+  plan->shard.devices = chosen;
+  for (BuildPipeline& build : plan->builds) {
     if (build.placement != PipelinePlacement::kCpu) {
-      bytes += build.table_bytes;
+      build.device_set = chosen;
     }
   }
-  if (plan.probe.placement != PipelinePlacement::kCpu) {
-    // GPU/heterogeneous probes stage one device buffer per probe
-    // operator column (measure, filters, probe keys), each fact_rows
-    // 64-bit values — the same staging the plan executor performs.
-    bytes += static_cast<std::uint64_t>(plan.probe.ops.size()) *
-             plan.shape.fact_rows * sizeof(std::int64_t);
+  if (plan->probe.placement == PipelinePlacement::kCpu) return Status::OK();
+  plan->probe.device_set = chosen;
+  PUMP_ASSIGN_OR_RETURN(plan->exchange,
+                        PlanExchange(topo, chosen, StagedProbeBytes(*plan)));
+  if (plan->shard.active()) {
+    AppendNote(plan, "sharded across " + std::to_string(chosen.size()) +
+                         " devices; modelled exchange " +
+                         std::to_string(plan->exchange.modelled_cost_s) +
+                         " s");
   }
-  return bytes;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<PhysicalPlan> Compile(const engine::Query& query,
+                             const CompileOptions& options) {
+  PhysicalPlan plan;
+  plan.query = &query;
+  plan.profile = options.profile;
+  plan.shape.fact_rows = query.fact != nullptr ? query.fact->rows() : 0;
+  plan.shape.filters = query.filters.size();
+  plan.shape.joins = query.joins.size();
+  PUMP_RETURN_NOT_OK(Validate(query, plan.shape));
+
+  // GPU pressure is decided here, once: a GPU-requesting policy runs on
+  // the devices whose pools have room left. When none has, the whole
+  // plan goes to the CPU — degrading placement is bounded work, waiting
+  // for device memory is not.
+  DeviceSet live;
+  std::uint64_t headroom = 0;
+  if (options.policy != PlacementPolicy::kCpuOnly) {
+    PUMP_ASSIGN_OR_RETURN(live, LiveDevices(options, &headroom, &plan));
+    if (live.empty()) {
+      plan.forced_cpu_by_pressure = true;
+      AppendNote(&plan, "every GPU pool saturated; forced CPU placement");
+    }
+  }
+  const bool gpu_policy = !live.empty();
+
+  // One build pipeline per join clause.
+  for (std::size_t j = 0; j < query.joins.size(); ++j) {
+    const engine::JoinClause& join = query.joins[j];
+    BuildPipeline build;
+    build.join_index = j;
+    build.dimension = join.dimension;
+    build.key_column = join.dim_key_column;
+    build.dim_filter = join.dim_filter;
+    build.has_dim_filter = join.has_dim_filter;
+    PUMP_ASSIGN_OR_RETURN(const auto* keys,
+                          join.dimension->Column(join.dim_key_column));
+    build.keys = GatherKeyStats(*keys);
+    build.placement =
+        gpu_policy ? PipelinePlacement::kGpu : PipelinePlacement::kCpu;
+    plan.builds.push_back(std::move(build));
+  }
+
+  // The probe pipeline: filters in query order, probes in join order,
+  // one trailing aggregate — the operator order fixes the evaluation
+  // order, which is what makes plans bit-identical to the reference.
+  for (const engine::Filter& filter : query.filters) {
+    Operator op;
+    op.kind = OpKind::kScanFilter;
+    op.column = filter.column;
+    op.op = filter.op;
+    op.literal = filter.literal;
+    plan.probe.ops.push_back(std::move(op));
+  }
+  for (std::size_t j = 0; j < query.joins.size(); ++j) {
+    Operator op;
+    op.kind = OpKind::kProbe;
+    op.column = query.joins[j].fact_key_column;
+    op.build_index = j;
+    plan.probe.ops.push_back(std::move(op));
+  }
+  {
+    Operator op;
+    op.kind = OpKind::kAggregate;
+    op.column = query.measure_column;
+    plan.probe.ops.push_back(std::move(op));
+  }
+  plan.probe.placement = gpu_policy ? PipelinePlacement::kHeterogeneous
+                                    : PipelinePlacement::kCpu;
+
+  std::vector<bool> split(plan.builds.size(), false);
+  if (options.policy == PlacementPolicy::kCostModel && gpu_policy) {
+    PUMP_RETURN_NOT_OK(PlaceByCostModel(query, options, &plan, &split));
+  }
+  // Table kinds follow the final placements.
+  std::uint64_t gpu_used = 0;
+  for (std::size_t i = 0; i < plan.builds.size(); ++i) {
+    BuildPipeline& build = plan.builds[i];
+    build.table_kind = ChooseTableKind(build, split[i], headroom, &gpu_used);
+    build.table_bytes = TableBytes(build.keys, build.table_kind);
+  }
+  if (gpu_policy && plan.UsesGpu()) {
+    PUMP_RETURN_NOT_OK(PlaceShards(options, live, &plan));
+  }
+  return plan;
 }
 
 std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     const PhysicalPlan& plan) {
   std::map<hw::DeviceId, std::uint64_t> per_device;
   // A sharded pipeline divides its bytes evenly across its device set,
-  // remainder to the first device, so the per-device sums always add up
-  // to the aggregate footprint. Legacy plans without device sets charge
-  // the default testbed's GPU.
+  // remainder to the first device. Legacy plans without device sets
+  // charge the default testbed's GPU.
   const auto split = [&per_device](const DeviceSet& set,
                                    std::uint64_t bytes) {
     if (bytes == 0) return;
@@ -499,9 +460,7 @@ std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     }
   }
   if (plan.probe.placement != PipelinePlacement::kCpu) {
-    split(plan.probe.device_set,
-          static_cast<std::uint64_t>(plan.probe.ops.size()) *
-              plan.shape.fact_rows * sizeof(std::int64_t));
+    split(plan.probe.device_set, StagedProbeBytes(plan));
   }
   return per_device;
 }

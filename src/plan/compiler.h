@@ -31,17 +31,12 @@ const char* ToString(PlacementPolicy policy);
 /// Compile-time knobs.
 struct CompileOptions {
   PlacementPolicy policy = PlacementPolicy::kCpuOnly;
-  /// GPU memory available for hash tables. 0 derives it from the
-  /// profile's (or the default AC922's) GPU capacity minus a 1 GiB
-  /// working-space reserve. The hybrid hash-table kind is selected when a
-  /// dense dimension exceeds this budget.
+  /// GPU memory available for hash tables, per device. 0 derives it from
+  /// the profile's (or the default AC922's) GPU capacity minus a 1 GiB
+  /// working-space reserve. A device whose in-flight pool already holds
+  /// this much takes no part in the plan; a GPU-placed dense table that
+  /// exceeds the smallest remainder among the others becomes hybrid.
   std::uint64_t gpu_budget_bytes = 0;
-  /// Modelled GPU bytes already committed to concurrently running
-  /// queries (the server's in-flight footprint). Shrinks the effective
-  /// GPU budget for this compilation; when no headroom remains, GPU
-  /// placements degrade to CPU instead of queueing behind device memory
-  /// — graceful degradation under pressure rather than unbounded wait.
-  std::uint64_t gpu_budget_in_use_bytes = 0;
   /// System profile for the cost-model policy; null uses hw::Ac922Profile.
   const hw::SystemProfile* profile = nullptr;
   /// Cardinality scale factor fed to the cost model (model the same query
@@ -50,26 +45,26 @@ struct CompileOptions {
   /// Candidate GPU devices to shard the plan across (hash-partitioned
   /// build side, all-to-all exchange, parallel shard probes). Every id
   /// must be a GPU of `profile`'s topology. Empty keeps the classic
-  /// single-device layout. Under kCpuOnly this is ignored; under
-  /// kGpuPreferred every unsaturated candidate becomes a shard; under
-  /// kCostModel the compiler scores candidate device sets by modelled
-  /// per-shard probe time plus exchange cost and keeps the cheapest.
+  /// single-device layout. Under kCpuOnly this is ignored (any other
+  /// policy validates it); under kGpuPreferred every unsaturated
+  /// candidate becomes a shard; under kCostModel the compiler scores
+  /// candidate device sets by modelled per-shard probe time plus
+  /// exchange cost and keeps the cheapest.
   DeviceSet shard_devices;
   /// Per-device in-flight bytes of concurrently running queries (the
-  /// serving layer's per-device pools). A candidate shard device whose
-  /// pool is saturated is dropped from the shard set — admission
-  /// degrades shard-by-shard before it degrades to CPU. Null treats
-  /// every candidate as idle except for `gpu_budget_in_use_bytes`,
-  /// which keeps acting on the plan's primary device.
+  /// serving layer's pools), the only GPU-pressure signal. A candidate
+  /// device whose pool holds the whole budget is dropped (admission
+  /// degrades shard-by-shard); with every candidate saturated the plan
+  /// is forced onto the CPU. Null treats every pool as idle.
   const std::map<hw::DeviceId, std::uint64_t>* device_budget_in_use =
       nullptr;
 };
 
 /// Compiles `query` into a physical plan: validates the query exactly
 /// once (errors carry the offending query shape), derives key statistics
-/// per dimension, selects a hash-table kind per build pipeline, and
-/// assigns placements per the policy. The query and its tables must
-/// outlive the returned plan.
+/// per dimension, assigns placements per the policy, then selects each
+/// build pipeline's hash-table kind to fit its placement. The query and
+/// its tables must outlive the returned plan.
 Result<PhysicalPlan> Compile(const engine::Query& query,
                              const CompileOptions& options = {});
 
@@ -81,30 +76,15 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
 /// consistent with the key statistics. Returns the first violation.
 Status ValidatePlan(const PhysicalPlan& plan);
 
-/// Modelled GPU bytes `plan` occupies while executing as placed:
-/// GPU-resident hash tables plus the staged fact columns of a GPU or
-/// heterogeneous probe. A CPU-only plan is 0. The server's admission
-/// controller uses this as the query's resource token and feeds the
-/// concurrent total back through
-/// CompileOptions::gpu_budget_in_use_bytes.
-std::uint64_t EstimatedGpuFootprintBytes(const PhysicalPlan& plan);
-
-/// The same footprint split per device: a sharded plan divides its hash
-/// tables and staged columns evenly across the shard devices; a
-/// single-device plan charges everything to its one device. Empty for a
-/// CPU-only plan. The per-device sums always add up to
-/// EstimatedGpuFootprintBytes.
+/// Modelled GPU bytes `plan` occupies per device while executing as
+/// placed: GPU-resident hash tables plus the staged fact columns of a GPU
+/// or heterogeneous probe. A sharded plan divides them evenly across the
+/// shard devices; a single-device plan charges everything to its one
+/// device. Empty for a CPU-only plan. The server's admission controller
+/// charges it to the per-device pools and feeds them back through
+/// CompileOptions::device_budget_in_use.
 std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     const PhysicalPlan& plan);
-
-/// Plans the all-to-all exchange of `devices` over `topology`: one route
-/// per ordered pair, minimum-hop, with the modelled cost (busiest link's
-/// transfer time for an evenly hash-partitioned `total_bytes`, plus the
-/// longest route's hop latency). Exposed for the cost-model policy, the
-/// mesh scaling bench and tests.
-Result<ExchangeStage> PlanExchange(const hw::Topology& topology,
-                                   const DeviceSet& devices,
-                                   std::uint64_t total_bytes);
 
 inline const char* ToString(PlacementPolicy policy) {
   switch (policy) {

@@ -24,10 +24,11 @@ namespace pump::plan {
 enum class PipelinePlacement : std::uint8_t { kCpu, kGpu, kHeterogeneous };
 
 /// Which hash table implements a build pipeline's dimension table.
-/// Selection matrix (see DESIGN.md Sec. 10):
-///   dense keys, fits GPU budget (or CPU-placed)  -> kPerfect
-///   dense keys, exceeds GPU budget               -> kHybrid
-///   sparse or negative keys                      -> kLinearProbing
+/// Selection matrix (see DESIGN.md Sec. 10), chosen after placement:
+///   dense keys, CPU-placed or fits the GPU headroom   -> kPerfect
+///   dense keys, GPU-placed, exceeds the GPU headroom
+///     (or split across memories by the cost model)    -> kHybrid
+///   sparse or negative keys                           -> kLinearProbing
 enum class HashTableKind : std::uint8_t {
   kPerfect,
   kLinearProbing,
@@ -188,8 +189,8 @@ struct PhysicalPlan {
   /// saturation note below).
   std::string rationale;
   /// True when a GPU-requesting policy was forced onto the CPU because
-  /// concurrent queries saturated the effective GPU budget
-  /// (CompileOptions::gpu_budget_in_use_bytes) — the serving layer's
+  /// concurrent queries saturated every candidate device's in-flight pool
+  /// (CompileOptions::device_budget_in_use) — the serving layer's
   /// graceful-degradation signal.
   bool forced_cpu_by_pressure = false;
 

@@ -50,7 +50,6 @@ Result<ops::Q6Result> RunQ6Plan(const Q6PlanInput& input,
                         Compile(query, compile_options));
   engine::ExecOptions options;
   options.workers = workers;
-  options.gpu_plan = false;
   PUMP_ASSIGN_OR_RETURN(const engine::ExecReport report,
                         ExecutePlan(plan, options));
   ops::Q6Result result;

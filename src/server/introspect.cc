@@ -64,7 +64,6 @@ std::string ToJson(const EngineSnapshot& snapshot) {
       << ",\"failed\":" << stats.failed
       << ",\"queue_depth\":" << stats.queue_depth
       << ",\"running\":" << stats.running
-      << ",\"gpu_inflight_bytes\":" << stats.gpu_inflight_bytes
       << ",\"device_inflight_bytes\":{";
   bool first = true;
   for (const auto& [device, bytes] : stats.device_inflight_bytes) {
@@ -144,8 +143,6 @@ std::string ToPrometheus(const EngineSnapshot& snapshot) {
   counter("pump_server_failed", stats.failed);
   gauge("pump_server_queue_depth", static_cast<double>(stats.queue_depth));
   gauge("pump_server_running", static_cast<double>(stats.running));
-  gauge("pump_server_gpu_inflight_bytes",
-        static_cast<double>(stats.gpu_inflight_bytes));
   out << "# TYPE pump_server_device_inflight_bytes gauge\n";
   for (const auto& [device, bytes] : stats.device_inflight_bytes) {
     out << "pump_server_device_inflight_bytes{device=\""

@@ -18,6 +18,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Incidents the flight recorder retains (oldest evicted beyond this
+/// bound) and the trace-tail length captured per incident.
+constexpr std::size_t kIncidentCapacity = 32;
+constexpr std::size_t kIncidentTraceTail = 256;
+/// Width of the sliding latency/qps window behind Snapshot()'s p50/p99/
+/// qps gauges and the SLO evaluation.
+constexpr std::uint64_t kWindowNs = 60'000'000'000;
+
 std::uint64_t MicrosSince(Clock::time_point start) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
@@ -102,9 +110,9 @@ struct QueryEngine::Task {
   engine::Query query;
   plan::PhysicalPlan plan;
   SubmitOptions options;
-  std::uint64_t footprint_bytes = 0;
-  /// The footprint split per device — the exact bytes each per-device
-  /// pool was charged at admission and must release on resolution.
+  /// The modelled GPU footprint per device — the exact bytes each
+  /// per-device pool was charged at admission and must release on
+  /// resolution.
   std::map<hw::DeviceId, std::uint64_t> footprint_per_device;
   Clock::time_point submitted_at;
 };
@@ -112,10 +120,8 @@ struct QueryEngine::Task {
 QueryEngine::QueryEngine(EngineOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity_bytes),
-      flight_recorder_(options_.incident_capacity,
-                       options_.incident_trace_tail),
-      latency_window_(static_cast<std::uint64_t>(
-          std::max(1e-3, options_.window_s) * 1e9)) {
+      flight_recorder_(kIncidentCapacity, kIncidentTraceTail),
+      latency_window_(kWindowNs) {
   verify::NamedMutex(&mutex_, "server.engine.mutex");
   const std::size_t threads =
       std::max<std::size_t>(1, options_.session_threads);
@@ -176,7 +182,6 @@ Result<std::shared_ptr<QueryHandle>> QueryEngine::Submit(
     plan::CompileOptions compile_options;
     compile_options.policy = options_.policy;
     compile_options.gpu_budget_bytes = options_.gpu_budget_bytes;
-    compile_options.gpu_budget_in_use_bytes = gpu_inflight_bytes_;
     compile_options.profile = options_.profile;
     compile_options.shard_devices = options_.shard_devices;
     compile_options.device_budget_in_use = &device_inflight_bytes_;
@@ -190,13 +195,10 @@ Result<std::shared_ptr<QueryHandle>> QueryEngine::Submit(
     if (task->plan.forced_cpu_by_pressure) {
       ++stats_.degraded_to_cpu;
       Metrics().degraded_to_cpu.Add();
-      PUMP_TRACE_INSTANT(obs::TraceCategory::kPlan, "server.degrade",
-                         static_cast<double>(gpu_inflight_bytes_));
+      PUMP_TRACE_INSTANT(obs::TraceCategory::kPlan, "server.degrade");
     }
-    task->footprint_bytes = plan::EstimatedGpuFootprintBytes(task->plan);
     task->footprint_per_device =
         plan::EstimatedGpuFootprintPerDevice(task->plan);
-    gpu_inflight_bytes_ += task->footprint_bytes;
     for (const auto& [device, bytes] : task->footprint_per_device) {
       device_inflight_bytes_[device] += bytes;
     }
@@ -250,7 +252,6 @@ EngineStats QueryEngine::stats() const {
   std::lock_guard<verify::Mutex> lock(mutex_);
   EngineStats snapshot = stats_;
   snapshot.queue_depth = queue_.size();
-  snapshot.gpu_inflight_bytes = gpu_inflight_bytes_;
   snapshot.device_inflight_bytes = device_inflight_bytes_;
   return snapshot;
 }
@@ -261,7 +262,6 @@ EngineSnapshot QueryEngine::Snapshot() const {
     std::lock_guard<verify::Mutex> lock(mutex_);
     snapshot.stats = stats_;
     snapshot.stats.queue_depth = queue_.size();
-    snapshot.stats.gpu_inflight_bytes = gpu_inflight_bytes_;
     snapshot.stats.device_inflight_bytes = device_inflight_bytes_;
     const Clock::time_point now = Clock::now();
     snapshot.queries.reserve(active_.size());
@@ -380,14 +380,12 @@ void QueryEngine::RunTask(std::unique_ptr<Task> task) {
 
   engine::ExecOptions exec;
   exec.workers = task->options.workers;
-  exec.gpu_plan = task->plan.UsesGpu();
   exec.injector = task->options.injector != nullptr
                       ? task->options.injector
                       : options_.injector;
   // Decorrelate concurrent retry streams: identical base policies would
   // otherwise back off in lockstep (see RetryPolicy::Salted).
   exec.retry = options_.retry.Salted(handle.id());
-  exec.morsel_tuples = task->options.morsel_tuples;
   exec.cancel = &handle.token_;
   exec.build_cache = &cache_;
   exec.query_id = handle.id();
@@ -416,7 +414,6 @@ void QueryEngine::RunTask(std::unique_ptr<Task> task) {
   {
     std::lock_guard<verify::Mutex> lock(mutex_);
     active_.erase(handle.id());
-    gpu_inflight_bytes_ -= task->footprint_bytes;
     bool first_device = true;
     for (const auto& [device, bytes] : task->footprint_per_device) {
       if (first_device &&

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "engine/executor.h"
 #include "engine/query.h"
-#include "exec/morsel.h"
 #include "fault/fault_injector.h"
 #include "fault/retry.h"
 #include "obs/flight_recorder.h"
@@ -91,11 +90,12 @@ struct EngineOptions {
   /// queue full is shed with kResourceExhausted — load is rejected at
   /// the edge, the queue never grows without bound.
   std::size_t queue_capacity = 8;
-  /// GPU hash-table budget handed to the plan compiler; 0 derives the
-  /// default from the AC922 profile. The modelled footprints of all
-  /// in-flight queries are charged against it: a saturated budget forces
-  /// new plans onto the CPU (graceful degradation) instead of queueing
-  /// behind device memory.
+  /// Per-device GPU hash-table budget handed to the plan compiler; 0
+  /// derives the default from the profile. Every in-flight query charges
+  /// its modelled footprint to the pools of the devices it runs on: a
+  /// device whose pool reaches the budget takes no new plan, and when
+  /// every candidate device is saturated new plans are forced onto the
+  /// CPU (graceful degradation) instead of queueing behind device memory.
   std::uint64_t gpu_budget_bytes = 0;
   /// Capacity of the process-wide dimension-table build cache shared by
   /// every query (plan/build_cache.h). 0 disables residency.
@@ -129,17 +129,10 @@ struct EngineOptions {
   std::function<Result<engine::ExecReport>(const plan::PhysicalPlan&,
                                            const engine::ExecOptions&)>
       runner_for_test;
-  /// Incidents retained by the flight recorder (oldest evicted beyond
-  /// this bound) and the trace-tail length captured per incident.
-  std::size_t incident_capacity = 32;
-  std::size_t incident_trace_tail = 256;
-  /// Width of the sliding latency/qps window behind Snapshot()'s p50/
-  /// p99/qps gauges and the SLO evaluation.
-  double window_s = 60.0;
-  /// SLO targets evaluated over the window (0 = not configured): the
-  /// windowed p99 latency ceiling and the windowed throughput floor.
-  /// Snapshot() reports the verdict; servebench's --slo-* flags turn a
-  /// violation into a nonzero exit.
+  /// SLO targets evaluated over the engine's 60 s sliding window (0 = not
+  /// configured): the windowed p99 latency ceiling and the windowed
+  /// throughput floor. Snapshot() reports the verdict; servebench's
+  /// --slo-* flags turn a violation into a nonzero exit.
   double slo_p99_us = 0.0;
   double slo_min_qps = 0.0;
 };
@@ -160,8 +153,6 @@ struct SubmitOptions {
   /// Scope string for the engine's server.admission / server.cancel
   /// failpoint streams (deterministic per-tag schedules).
   std::string tag;
-  /// Morsel granularity of the probe pipelines.
-  std::size_t morsel_tuples = exec::kDefaultMorselTuples;
 };
 
 /// Point-in-time engine statistics (single-engine scope; the obs
@@ -177,18 +168,15 @@ struct EngineStats {
   std::uint64_t cancelled = 0;
   std::uint64_t deadline_exceeded = 0;
   /// Plans forced onto the CPU because in-flight footprints saturated
-  /// the GPU budget.
+  /// every candidate device's pool.
   std::uint64_t degraded_to_cpu = 0;
   std::uint64_t completed = 0;
   /// Contained failures: the query's fault ladder exhausted, its handle
   /// resolved with the error, nothing shared was poisoned.
   std::uint64_t failed = 0;
-  /// Modelled GPU bytes charged by queued + running queries (the sum of
-  /// the per-device pools below).
-  std::uint64_t gpu_inflight_bytes = 0;
-  /// The same bytes split per device: each shard of a sharded plan
-  /// charges only its own device's pool, so one busy device never blocks
-  /// admission onto its idle peers.
+  /// Modelled GPU bytes charged by queued + running queries, per device:
+  /// each shard of a sharded plan charges only its own device's pool, so
+  /// one busy device never blocks admission onto its idle peers.
   std::map<hw::DeviceId, std::uint64_t> device_inflight_bytes;
   std::size_t queue_depth = 0;
   std::size_t running = 0;
@@ -315,12 +303,9 @@ class QueryEngine {
   };
   std::map<std::uint64_t, ActiveQuery> active_;
   std::uint64_t next_id_ = 1;
-  /// Aggregate in-flight footprint (always the sum of the per-device
-  /// pools; kept separately so the single-pool saturation signal is O(1)).
-  std::uint64_t gpu_inflight_bytes_ = 0;
   /// Per-device in-flight pools, charged at admission and released when
-  /// the task resolves. Fed into compilation so new plans shed saturated
-  /// devices shard-by-shard.
+  /// the task resolves — the engine's only GPU-pressure signal. Fed into
+  /// compilation so new plans shed saturated devices shard-by-shard.
   std::map<hw::DeviceId, std::uint64_t> device_inflight_bytes_;
   bool paused_ = false;
   bool shutdown_ = false;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "exec/work_stealing.h"
 #include "obs/trace.h"
 #include "plan/build_cache.h"
+#include "plan/compiler.h"
 #include "plan/operators.h"
 #include "plan/plan.h"
 #include "server/query_engine.h"
@@ -71,6 +73,9 @@ struct ServerFixture {
   engine::Table fact;
   engine::Table dim;
   engine::Query query;
+  /// What admitting `query` charges each device pool under the engine's
+  /// default options (kGpuPreferred on the AC922).
+  std::map<hw::DeviceId, std::uint64_t> charge;
 };
 
 const ServerFixture& Server() {
@@ -85,6 +90,10 @@ const ServerFixture& Server() {
     f->query.measure_column = std::string("m");
     f->query.joins.push_back(
         engine::JoinClause{"fk", &f->dim, "pk", {}, false});
+    plan::CompileOptions gpu;
+    gpu.policy = plan::PlacementPolicy::kGpuPreferred;
+    f->charge = plan::EstimatedGpuFootprintPerDevice(
+        plan::Compile(f->query, gpu).value());
     return f;
   }();
   return *fixture;
@@ -296,8 +305,9 @@ void QueryEngineAdmissionModel() {
     const server::EngineStats stats = engine.stats();
     VERIFY_INVARIANT(stats.admitted == 2 && stats.completed == 2,
                      "admitted queries did not all complete");
-    VERIFY_INVARIANT(stats.gpu_inflight_bytes == 0,
-                     "GPU budget not returned after completion");
+    for (const auto& [device, bytes] : stats.device_inflight_bytes) {
+      VERIFY_INVARIANT(bytes == 0, "GPU budget not returned after completion");
+    }
     engine.Shutdown();
     VERIFY_INVARIANT(engine.stats().running == 0,
                      "scheduler still running after shutdown");
@@ -305,12 +315,13 @@ void QueryEngineAdmissionModel() {
 }
 
 // server::QueryEngine — per-device budget pools: every admitted query
-// charges each shard device's pool exactly once at admission and
+// charges each of its devices' pools exactly once at admission and
 // releases it exactly once when its handle resolves (completion and
-// cancellation take the same release path), so the pools always sum to
-// the aggregate in-flight figure and drain to zero — no double-spend,
-// no leak. The server.budget.leak_on_release mutant skips one device's
-// release and must be caught here.
+// cancellation take the same release path), so every pool holds the
+// same whole number of the plan's per-device charge and drains to zero
+// — no double-spend, no partial charge, no leak. The
+// server.budget.leak_on_release mutant skips one device's release and
+// must be caught here.
 
 void QueryEngineBudgetModel() {
   server::EngineOptions options;
@@ -332,20 +343,22 @@ void QueryEngineBudgetModel() {
   // one (the release precedes resolution, whatever the outcome).
   second.value()->Cancel();
   {
+    // Every pool holds k whole charges, k = queries not yet released.
     const server::EngineStats stats = engine.stats();
-    std::uint64_t pool_sum = 0;
-    for (const auto& [device, bytes] : stats.device_inflight_bytes) {
-      pool_sum += bytes;
-    }
-    VERIFY_INVARIANT(pool_sum == stats.gpu_inflight_bytes,
-                     "per-device pools out of sync with the aggregate "
-                     "in-flight bytes (double-spend or partial charge)");
+    const auto& [device, charge] = *Server().charge.begin();
+    const auto pool = stats.device_inflight_bytes.find(device);
+    const std::uint64_t k =
+        pool == stats.device_inflight_bytes.end() ? 0 : pool->second / charge;
+    std::map<hw::DeviceId, std::uint64_t> k_charges;
+    for (const auto& [d, bytes] : Server().charge) k_charges[d] = k * bytes;
+    VERIFY_INVARIANT(k <= 2 && stats.device_inflight_bytes == k_charges,
+                     "the device pools do not each hold the same whole "
+                     "number of the plan's per-device charge (double-spend "
+                     "or partial charge)");
   }
   (void)first.value()->Wait();
   (void)second.value()->Wait();
   const server::EngineStats stats = engine.stats();
-  VERIFY_INVARIANT(stats.gpu_inflight_bytes == 0,
-                   "aggregate GPU budget not returned after resolution");
   for (const auto& [device, bytes] : stats.device_inflight_bytes) {
     VERIFY_INVARIANT(bytes == 0,
                      "a device pool leaked in-flight bytes after its "

@@ -7,54 +7,11 @@
 #include "gtest/gtest.h"
 #include "hw/system_profile.h"
 #include "common/rng.h"
+#include "oracle.h"
 #include "ops/scan.h"
 
 namespace pump::engine {
 namespace {
-
-// Reference evaluation of a query by row-at-a-time interpretation.
-QueryResult BruteForce(const Query& query) {
-  QueryResult expected;
-  const Table& fact = *query.fact;
-  const auto* measure = fact.Column(query.measure_column).value();
-  for (std::size_t i = 0; i < fact.rows(); ++i) {
-    bool ok = true;
-    for (const Filter& filter : query.filters) {
-      const auto* column = fact.Column(filter.column).value();
-      if (!ops::Compare(filter.op, (*column)[i], filter.literal)) {
-        ok = false;
-        break;
-      }
-    }
-    for (const JoinClause& join : query.joins) {
-      if (!ok) break;
-      const auto* keys = fact.Column(join.fact_key_column).value();
-      const auto* dim_keys =
-          join.dimension->Column(join.dim_key_column).value();
-      const std::vector<std::int64_t>* dim_filter_column =
-          join.has_dim_filter
-              ? join.dimension->Column(join.dim_filter.column).value()
-              : nullptr;
-      bool matched = false;
-      for (std::size_t d = 0; d < dim_keys->size(); ++d) {
-        if ((*dim_keys)[d] != (*keys)[i]) continue;
-        if (dim_filter_column != nullptr &&
-            !ops::Compare(join.dim_filter.op, (*dim_filter_column)[d],
-                          join.dim_filter.literal)) {
-          continue;
-        }
-        matched = true;
-        break;
-      }
-      ok = matched;
-    }
-    if (ok) {
-      ++expected.rows;
-      expected.sum += (*measure)[i];
-    }
-  }
-  return expected;
-}
 
 TEST(TableTest, ColumnManagement) {
   Table table;
@@ -106,12 +63,12 @@ TEST(ExecutorTest, ValidatesQuery) {
   EXPECT_FALSE(Executor::Run(query).ok());  // Missing measure.
 }
 
-TEST(ExecutorTest, SsbQ1MatchesBruteForce) {
+TEST(ExecutorTest, SsbQ1MatchesOracle) {
   const SsbDatabase db = SsbDatabase::Generate(50'000, 7);
   const Query query = SsbQ1(db);
   Result<QueryResult> result = Executor::Run(query, 2);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), BruteForce(query));
+  EXPECT_EQ(result.value(), test::Oracle(query));
   EXPECT_GT(result.value().rows, 0u);
   // Q1's selectivity: 3/11 discounts x 24/50 quantities x ~1/7 years.
   const double selectivity =
@@ -119,12 +76,12 @@ TEST(ExecutorTest, SsbQ1MatchesBruteForce) {
   EXPECT_NEAR(selectivity, (3.0 / 11.0) * (24.0 / 50.0) / 7.0, 0.01);
 }
 
-TEST(ExecutorTest, SsbQ2MatchesBruteForce) {
+TEST(ExecutorTest, SsbQ2MatchesOracle) {
   const SsbDatabase db = SsbDatabase::Generate(30'000, 9);
   const Query query = SsbQ2(db);
   Result<QueryResult> result = Executor::Run(query, 3);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), BruteForce(query));
+  EXPECT_EQ(result.value(), test::Oracle(query));
   // Two 1/5-region semi-joins keep ~4% of rows.
   const double selectivity =
       static_cast<double>(result.value().rows) / 30'000.0;
@@ -227,11 +184,11 @@ TEST_F(AdvisorTest, PredictionMonotoneInFactSize) {
 }
 
 // Randomized differential testing: generate random star queries over a
-// random database and compare the executor against the brute-force
-// interpreter for every seed.
+// random database and compare the executor against the reference oracle
+// for every seed.
 class EngineFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EngineFuzzTest, ExecutorMatchesBruteForce) {
+TEST_P(EngineFuzzTest, ExecutorMatchesOracle) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
   const SsbDatabase db =
@@ -287,7 +244,7 @@ TEST_P(EngineFuzzTest, ExecutorMatchesBruteForce) {
   Result<QueryResult> result =
       Executor::Run(query, 1 + rng.NextBounded(4));
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.value(), BruteForce(query)) << "seed " << seed;
+  EXPECT_EQ(result.value(), test::Oracle(query)) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,

@@ -45,6 +45,14 @@ class ScopedTracing {
   }
 };
 
+/// PUMP_TRACE=OFF compiles the span/instant macros out: there, a test
+/// that recorded through them checks that nothing was recorded and stops.
+bool MacrosCompiledOut() {
+  if (PUMP_TRACE_ENABLED) return false;
+  EXPECT_TRUE(TraceRecorder::Instance().Snapshot().empty());
+  return true;
+}
+
 /// The calling thread's retained events (tests record from the main
 /// thread unless stated otherwise; worker threads get their own rings).
 std::vector<obs::TraceEvent> EventsNamed(
@@ -67,6 +75,7 @@ TEST(TraceRecorderTest, SpanNestingOrderIsRingOrder) {
     }
     PUMP_TRACE_INSTANT(obs::TraceCategory::kTool, "tick", 3.0);
   }
+  if (MacrosCompiledOut()) return;
   const std::vector<obs::ThreadTrace> traces =
       TraceRecorder::Instance().Snapshot();
   ASSERT_EQ(traces.size(), 1u);
@@ -114,6 +123,7 @@ TEST(TraceRecorderTest, SpanActiveAtConstructionRecordsBothEnds) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kTool, "latched");
     TraceRecorder::Instance().Disable();
   }
+  if (MacrosCompiledOut()) return;
   const std::vector<obs::ThreadTrace> traces =
       TraceRecorder::Instance().Snapshot();
   const std::vector<obs::TraceEvent> events = EventsNamed(traces, "latched");
@@ -153,6 +163,7 @@ TEST(TraceRecorderTest, ClearRewindsWithoutInvalidatingThreadRings) {
   EXPECT_TRUE(TraceRecorder::Instance().Snapshot().empty());
   // The thread's ring pointer survives Clear; recording keeps working.
   PUMP_TRACE_INSTANT(obs::TraceCategory::kTool, "after");
+  if (MacrosCompiledOut()) return;
   const std::vector<obs::ThreadTrace> traces =
       TraceRecorder::Instance().Snapshot();
   ASSERT_EQ(traces.size(), 1u);
@@ -177,6 +188,7 @@ TEST(TraceRecorderTest, SpansFromAllExecutorWorkersLandInPerThreadRings) {
     }
   });
   // ParallelFor's barrier guarantees writer quiescence here.
+  if (MacrosCompiledOut()) return;
   const std::vector<obs::ThreadTrace> traces =
       TraceRecorder::Instance().Snapshot();
   std::size_t spans = 0;
@@ -204,6 +216,7 @@ TEST(TraceRecorderTest, ChromeExportBalancesEveryThread) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kTool, "parent", 1.0, 0.0);
     PUMP_TRACE_SPAN(obs::TraceCategory::kTool, "child");
   }
+  if (MacrosCompiledOut()) return;
   // An orphan 'E' (its 'B' lost to a wrap) and a dangling open 'B' (span
   // still open at snapshot): the exporter must drop the former and
   // synthesize a closer for the latter.
@@ -411,6 +424,7 @@ TEST(QueryContextTest, ContextPropagatesToExecutorPoolThreads) {
                          static_cast<double>(w));
     });
   }
+  if (MacrosCompiledOut()) return;
   // Every worker's event — pool threads included — carries the query id
   // installed on the dispatching thread; that stamp is the correlation
   // mechanism behind tracedump --query-id.
@@ -444,6 +458,7 @@ TEST(TraceExportTest, QueryFilterSelectsOneTimelineAndZeroIsIdentity) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kTool, "query.two");
   }
   PUMP_TRACE_INSTANT(obs::TraceCategory::kTool, "untagged");
+  if (MacrosCompiledOut()) return;
 
   const std::string all = TraceRecorder::Instance().ToChromeJson();
   // filter == 0 is the no-filter path and must stay byte-identical to
@@ -592,6 +607,7 @@ TEST(FlightRecorderTest, CaptureFillsTraceTailForItsQueryOnly) {
     obs::ScopedQueryContext scope(obs::QueryContext{6, -1});
     PUMP_TRACE_INSTANT(obs::TraceCategory::kEngine, "sibling");
   }
+  if (MacrosCompiledOut()) return;
 
   obs::FlightRecorder recorder(/*capacity=*/4, /*trace_tail_events=*/4);
   recorder.Capture(MakeIncident(5, "deadline_expired"));

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "gtest/gtest.h"
 #include "hw/system_profile.h"
 #include "hw/topology.h"
+#include "oracle.h"
 #include "ops/q6.h"
 #include "plan/compiler.h"
 #include "plan/dump.h"
@@ -31,75 +31,7 @@
 namespace pump::plan {
 namespace {
 
-// ---------------------------------------------------------------------
-// Reference oracle: plain row loops and std::unordered_set semi-joins
-// over engine::Query. It shares no plan/, hash/ or ops/ code with the
-// engine (only the ops::CompareOp enum), so a defect in the shared hash
-// tables or operators cannot give the same wrong answer on both sides.
-
-bool OracleCompare(ops::CompareOp op, std::int64_t value,
-                   std::int64_t literal) {
-  switch (op) {
-    case ops::CompareOp::kLt:
-      return value < literal;
-    case ops::CompareOp::kLe:
-      return value <= literal;
-    case ops::CompareOp::kEq:
-      return value == literal;
-    case ops::CompareOp::kGe:
-      return value >= literal;
-    case ops::CompareOp::kGt:
-      return value > literal;
-    case ops::CompareOp::kNe:
-      return value != literal;
-  }
-  return false;
-}
-
-const std::vector<std::int64_t>& OracleColumn(const engine::Table& table,
-                                              const std::string& name) {
-  return *table.Column(name).value();
-}
-
-/// COUNT(*) and SUM(measure) over the fact rows that pass every filter
-/// and whose every join key is among the dimension's qualifying keys.
-engine::QueryResult Oracle(const engine::Query& query) {
-  const engine::Table& fact = *query.fact;
-  std::vector<bool> keep(fact.rows(), true);
-  for (const engine::Filter& filter : query.filters) {
-    const auto& column = OracleColumn(fact, filter.column);
-    for (std::size_t row = 0; row < fact.rows(); ++row) {
-      keep[row] = keep[row] &&
-                  OracleCompare(filter.op, column[row], filter.literal);
-    }
-  }
-  for (const engine::JoinClause& join : query.joins) {
-    const engine::Table& dim = *join.dimension;
-    const auto& dim_keys = OracleColumn(dim, join.dim_key_column);
-    std::unordered_set<std::int64_t> qualifying;
-    for (std::size_t i = 0; i < dim_keys.size(); ++i) {
-      if (!join.has_dim_filter ||
-          OracleCompare(join.dim_filter.op,
-                        OracleColumn(dim, join.dim_filter.column)[i],
-                        join.dim_filter.literal)) {
-        qualifying.insert(dim_keys[i]);
-      }
-    }
-    const auto& fact_keys = OracleColumn(fact, join.fact_key_column);
-    for (std::size_t row = 0; row < fact.rows(); ++row) {
-      keep[row] = keep[row] && qualifying.count(fact_keys[row]) > 0;
-    }
-  }
-  engine::QueryResult result;
-  const auto& measure = OracleColumn(fact, query.measure_column);
-  for (std::size_t row = 0; row < fact.rows(); ++row) {
-    if (keep[row]) {
-      ++result.rows;
-      result.sum += measure[row];
-    }
-  }
-  return result;
-}
+using test::Oracle;
 
 // ---------------------------------------------------------------------
 // Golden equivalence: plan IR vs the oracle, with pinned ladder outcomes.
@@ -648,7 +580,39 @@ TEST_F(CompilerTest, SaturatedDevicePoolDroppedFromShardSet) {
   const auto cpu_plan = Compile(q2_, options);
   ASSERT_TRUE(cpu_plan.ok()) << cpu_plan.status();
   EXPECT_FALSE(cpu_plan.value().UsesGpu());
+  EXPECT_TRUE(cpu_plan.value().forced_cpu_by_pressure);
   EXPECT_TRUE(cpu_plan.value().shard.devices.empty());
+
+  // A single-GPU plan's one candidate is the primary GPU: its saturated
+  // pool forces the plan onto the CPU, where the date table stays perfect
+  // although it exceeds the budget.
+  CompileOptions single;
+  single.policy = PlacementPolicy::kGpuPreferred;
+  single.gpu_budget_bytes = 1024;
+  const std::map<hw::DeviceId, std::uint64_t> primary_full{{hw::kGpu0, 2048}};
+  single.device_budget_in_use = &primary_full;
+  const auto forced = Compile(q1_, single);
+  ASSERT_TRUE(forced.ok()) << forced.status();
+  EXPECT_TRUE(forced.value().forced_cpu_by_pressure);
+  EXPECT_FALSE(forced.value().UsesGpu());
+  EXPECT_EQ(forced.value().builds[0].table_kind, HashTableKind::kPerfect);
+}
+
+TEST_F(CompilerTest, CpuPlacedBuildsNeverSelectHybrid) {
+  // The cost model keeps these small queries on the CPU; the budget is
+  // below every date table. A hybrid table spills a GPU table into CPU
+  // memory, so a build the cost model placed on the CPU is never hybrid.
+  CompileOptions options;
+  options.policy = PlacementPolicy::kCostModel;
+  options.gpu_budget_bytes = 1000;
+  for (const engine::Query* query : {&q1_, &q3_}) {
+    const auto plan = Compile(*query, options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_FALSE(plan.value().UsesGpu()) << plan.value().rationale;
+    for (const BuildPipeline& build : plan.value().builds) {
+      EXPECT_NE(build.table_kind, HashTableKind::kHybrid) << build.key_column;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -643,22 +644,15 @@ TEST(QueryEngineTest, PerDevicePoolsTrackInflightAndDrain) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
 
-  // Single-device plans charge one per-device pool; the pools always sum
-  // to the aggregate in-flight figure.
+  // Single-device plans charge one per-device pool.
   server::EngineStats stats = engine.stats();
-  EXPECT_GT(stats.gpu_inflight_bytes, 0u);
   ASSERT_EQ(stats.device_inflight_bytes.size(), 1u);
-  std::uint64_t pool_sum = 0;
-  for (const auto& [device, bytes] : stats.device_inflight_bytes) {
-    pool_sum += bytes;
-  }
-  EXPECT_EQ(pool_sum, stats.gpu_inflight_bytes);
+  EXPECT_GT(stats.device_inflight_bytes.begin()->second, 0u);
 
   engine.Resume();
   ASSERT_TRUE(first.value()->Wait().ok());
   ASSERT_TRUE(second.value()->Wait().ok());
   stats = engine.stats();
-  EXPECT_EQ(stats.gpu_inflight_bytes, 0u);
   for (const auto& [device, bytes] : stats.device_inflight_bytes) {
     EXPECT_EQ(bytes, 0u) << "device " << device;
   }
@@ -683,21 +677,66 @@ TEST(QueryEngineTest, ShardedSubmissionChargesEveryDevicePool) {
 
   server::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.device_inflight_bytes.size(), 4u);
-  std::uint64_t pool_sum = 0;
   for (const auto& [device, bytes] : stats.device_inflight_bytes) {
     EXPECT_GT(bytes, 0u) << "device " << device;
-    pool_sum += bytes;
   }
-  EXPECT_EQ(pool_sum, stats.gpu_inflight_bytes);
 
   engine.Resume();
   const Result<engine::ExecReport>& report = handle.value()->Wait();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report.value().result, expected);
   stats = engine.stats();
-  EXPECT_EQ(stats.gpu_inflight_bytes, 0u);
   for (const auto& [device, bytes] : stats.device_inflight_bytes) {
     EXPECT_EQ(bytes, 0u) << "device " << device;
+  }
+}
+
+TEST(QueryEngineTest, MeshPressureIsJudgedPerDevice) {
+  // Pressure is judged per device: each pool may hold 1.5 plans' worth
+  // of the whole four-device footprint, so four sharded Q1s fill every
+  // pool to two thirds of its budget and all four stay sharded.
+  const engine::Query query = engine::SsbQ1(Db());
+  const engine::QueryResult expected = Solo(query);
+  const hw::SystemProfile ring = hw::NvlinkRingProfile(4);
+  plan::CompileOptions compile;
+  compile.policy = plan::PlacementPolicy::kGpuPreferred;
+  compile.profile = &ring;
+  compile.shard_devices = ring.topology.DevicesOfKind(hw::DeviceKind::kGpu);
+  const Result<plan::PhysicalPlan> solo_plan = plan::Compile(query, compile);
+  ASSERT_TRUE(solo_plan.ok()) << solo_plan.status();
+  std::map<hw::DeviceId, std::uint64_t> four_charges =
+      plan::EstimatedGpuFootprintPerDevice(solo_plan.value());
+  ASSERT_EQ(four_charges.size(), 4u);
+  std::uint64_t footprint = 0;
+  for (auto& [device, bytes] : four_charges) {
+    footprint += bytes;
+    bytes *= 4;
+  }
+
+  server::EngineOptions options;
+  options.session_threads = 1;
+  options.queue_capacity = 4;
+  options.profile = &ring;
+  options.shard_devices = compile.shard_devices;
+  options.gpu_budget_bytes = footprint * 3 / 2;
+  server::QueryEngine engine(options);
+  engine.Pause();
+  std::vector<std::shared_ptr<server::QueryHandle>> handles;
+  for (int i = 0; i < 4; ++i) {
+    Result<std::shared_ptr<server::QueryHandle>> handle =
+        engine.Submit(query);
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    handles.push_back(handle.value());
+  }
+  const server::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.degraded_to_cpu, 0u);
+  EXPECT_EQ(stats.device_inflight_bytes, four_charges);
+
+  engine.Resume();
+  for (const auto& handle : handles) {
+    const Result<engine::ExecReport>& report = handle->Wait();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report.value().result, expected);
   }
 }
 
