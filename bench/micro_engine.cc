@@ -12,7 +12,6 @@
 // run must return the first untraced run's result; checking results
 // against an independent reference is tests/plan_test.cc's job.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -24,7 +23,6 @@
 #include "common/statistics.h"
 #include "data/tpch.h"
 #include "engine/ssb.h"
-#include "exec/parallel.h"
 #include "obs/trace.h"
 #include "plan/compiler.h"
 #include "plan/executor.h"
@@ -134,10 +132,10 @@ int main(int argc, char** argv) {
   // overhead on these samples, and without warmup + extra runs the
   // stderr was comparable to the ceiling itself.
   const int runs = quick ? 5 : 15;
-  // Single-core hosts report DefaultWorkerCount() == 1; always use at
-  // least 2 workers so the morsel dispatch path is genuinely concurrent.
-  const std::size_t workers =
-      std::max<std::size_t>(2, pump::exec::DefaultWorkerCount());
+  // A fixed 2 workers: the morsel dispatch path is genuinely concurrent,
+  // and the records are keyed `workers=2` on every host, so the baseline
+  // in BENCH_micro.json compares like with like.
+  const std::size_t workers = 2;
 
   pump::bench::PrintBanner(
       std::cout, "micro_engine/plan_ir",

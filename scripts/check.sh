@@ -39,7 +39,9 @@
 #   8. PUMP_TRACE=OFF tree (build-notrace): all tests, then the overhead
 #      guard: micro_engine's plan IR with spans compiled in but the
 #      recorder off (build-release) must average <= 5% over the same
-#      binary built with PUMP_TRACE=OFF, the two run alternately
+#      binary built with PUMP_TRACE=OFF, the two run alternately; first,
+#      plan::ProcessRange must start at the same offset mod 64 in both
+#      binaries, so the comparison does not time code layout
 #   9. clang-tidy over src/tests/bench/tools (skipped when not installed)
 #
 # Usage: scripts/check.sh [-j N]
@@ -533,8 +535,32 @@ PY
 #    order, so drift on a shared host hits both sides alike. Each side's
 #    per-query figure is the median across rounds of that run's
 #    `engine_query_us plan_ir` median; the gate is on the mean of the
-#    per-query overheads.
+#    per-query overheads. The hot probe loop is aligned to a cache line
+#    in the source; the layout check below fails the gate if the two
+#    binaries still place it differently, because then the comparison
+#    would measure where the linker put the loop, not the spans.
 configure_and_test build-notrace "" "" -DPUMP_TRACE=OFF
+
+say "hot-loop layout: plan::ProcessRange at the same offset mod 64 in both"
+offsets=()
+for side in release notrace; do
+  # awk reads nm's whole output: exiting early would end nm with SIGPIPE,
+  # which pipefail turns into a failed gate.
+  addr="$(nm -C "./build-$side/bench/micro_engine" |
+          awk 'index($3, "pump::plan::ProcessRange(") == 1 && !found {
+                 print $1; found = 1 }')"
+  if [[ -z "$addr" ]]; then
+    echo "no plan::ProcessRange symbol in build-$side/bench/micro_engine" >&2
+    exit 1
+  fi
+  offsets+=("$(( 16#$addr % 64 ))")
+done
+if [[ "${offsets[0]}" != "${offsets[1]}" ]]; then
+  echo "plan::ProcessRange starts at ${offsets[0]} mod 64 in build-release" \
+       "but at ${offsets[1]} mod 64 in build-notrace" >&2
+  exit 1
+fi
+echo "plan::ProcessRange starts at ${offsets[0]} mod 64 in both binaries"
 
 say "disabled-tracing overhead guard: release vs PUMP_TRACE=OFF (mean <= 5%)"
 OVERHEAD_ROUNDS=10

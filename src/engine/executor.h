@@ -34,9 +34,13 @@ struct ExecOptions {
   fault::FaultInjector* injector = nullptr;
   /// Retry policy for transient transfer-chunk faults.
   fault::RetryPolicy retry;
-  /// Chunk size of the fact-column transfers.
+  /// Chunk size of the fact-column pulls and exchange partitions.
   std::uint64_t chunk_bytes = 64 * 1024;
-  /// Modelled OS page size of the transfers.
+  /// Modelled OS page size of copy-based transfers. plan::ExecutePlan
+  /// does not read it (its pulls walk chunks, not pages); it stays as
+  /// the default page size that callers of the copying staging helper
+  /// in transfer/executor.h, such as perfbench's staging pass, take
+  /// from here.
   std::uint64_t os_page_bytes = 4 * 1024;
   /// Morsel granularity of the heterogeneous probe.
   std::size_t morsel_tuples = exec::kDefaultMorselTuples;

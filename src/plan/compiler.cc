@@ -212,9 +212,10 @@ Status PlaceByCostModel(const engine::Query& query,
   return Status::OK();
 }
 
-/// Bytes the probe pipeline stages into device memory: one column per
-/// probe operator (measure, filters, probe keys), fact_rows 64-bit values
-/// each. This is also the tuple payload the exchange redistributes.
+/// Bytes of fact columns the probe pipeline reads over the interconnect:
+/// one column per probe operator (measure, filters, probe keys),
+/// fact_rows 64-bit values each. This is also the tuple payload the
+/// exchange redistributes.
 std::uint64_t StagedProbeBytes(const PhysicalPlan& plan) {
   return static_cast<std::uint64_t>(plan.probe.ops.size()) *
          plan.shape.fact_rows * sizeof(std::int64_t);

@@ -77,12 +77,19 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
 Status ValidatePlan(const PhysicalPlan& plan);
 
 /// Modelled GPU bytes `plan` occupies per device while executing as
-/// placed: GPU-resident hash tables plus the staged fact columns of a GPU
-/// or heterogeneous probe. A sharded plan divides them evenly across the
-/// shard devices; a single-device plan charges everything to its one
+/// placed: GPU-resident hash tables plus the fact columns a GPU or
+/// heterogeneous probe reads. A sharded plan divides them evenly across
+/// the shard devices; a single-device plan charges everything to its one
 /// device. Empty for a CPU-only plan. The server's admission controller
 /// charges it to the per-device pools and feeds them back through
 /// CompileOptions::device_budget_in_use.
+///
+/// The probe pulls its columns in place, so their bytes never occupy
+/// device memory; the column charge is kept all the same. Dropping it
+/// would change which queries the pools admit and where the compiler
+/// places them: an admission-policy change, separate from how the bytes
+/// move. Meanwhile the charge over-states a GPU-side probe's footprint,
+/// which errs towards degrading plans to fewer devices or the CPU early.
 std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     const PhysicalPlan& plan);
 

@@ -271,11 +271,12 @@ Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
   return engine::QueryResult{total_rows.load(), total_sum.load()};
 }
 
-/// GPU / heterogeneous probe pipeline: fact columns staged chunk-wise
-/// with per-chunk retry (rung 1), then the morsel scheduler drives a GPU
-/// proxy group — plus the CPU worker group for heterogeneous placements
-/// — with group failover. Any error is an unrecoverable pipeline fault
-/// the caller re-places on the CPU.
+/// GPU / heterogeneous probe pipeline: each fact column is pulled in
+/// place to the plan's device — walked chunk-wise with per-chunk retry
+/// (rung 1), then bound by its host pointer, nothing copied — and the
+/// morsel scheduler drives a GPU proxy group — plus the CPU worker group
+/// for heterogeneous placements — with group failover. Any error is an
+/// unrecoverable pipeline fault the caller re-places on the CPU.
 Status RunProbeGpu(const PhysicalPlan& plan,
                    const engine::ExecOptions& options,
                    const TableHandles& tables,
@@ -291,7 +292,10 @@ Status RunProbeGpu(const PhysicalPlan& plan,
 
   const transfer::TransferFaultOptions fault_options{options.injector,
                                                      options.retry};
-  std::vector<memory::Buffer> device_columns;
+  // A hand-built plan may carry no device set; compiled ones always do.
+  const hw::DeviceId device = plan.probe.device_set.empty()
+                                  ? hw::kGpu0
+                                  : plan.probe.device_set.front();
   auto source = [&](const std::string& name)
       -> Result<const std::int64_t*> {
     if (options.cancel != nullptr && options.cancel->Cancelled()) {
@@ -299,23 +303,18 @@ Status RunProbeGpu(const PhysicalPlan& plan,
     }
     PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
     const std::uint64_t bytes = column->size() * sizeof(std::int64_t);
-    if (bytes == 0) return static_cast<const std::int64_t*>(nullptr);
-    PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "stage.column",
-                    static_cast<double>(bytes),
-                    static_cast<double>(hw::kGpu0));
-    transfer::TransferStats stats;
+    PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "pull.column",
+                    static_cast<double>(bytes), static_cast<double>(device));
     PUMP_ASSIGN_OR_RETURN(
-        memory::Buffer device,
-        transfer::StageToDevice(column->data(), bytes, hw::kGpu0,
-                                options.chunk_bytes, options.os_page_bytes,
-                                fault_options, &stats));
+        const transfer::TransferStats stats,
+        transfer::PullInPlace(bytes, device, options.chunk_bytes,
+                              fault_options));
     report->transfer_retries += stats.retries;
     report->faults_injected += stats.faults_injected;
     report->modelled_backoff_s += stats.modelled_backoff_s;
     probe_row.retries += stats.retries;
     probe_row.faults_injected += stats.faults_injected;
-    device_columns.push_back(std::move(device));
-    return device_columns.back().as<const std::int64_t>();
+    return column->data();
   };
   PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
 
@@ -382,10 +381,12 @@ std::size_t ShardOf(std::int64_t key, std::size_t shard_count) {
 /// Sharded probe pipeline of a multi-device plan: fact tuples are
 /// hash-partitioned on the first probe key (row-range partitioned for
 /// join-free plans), partitions are exchanged all-to-all over the
-/// modelled mesh through the transfer layer, and each shard probes its
-/// partition in parallel. Tuple-at-a-time semantics are ProcessRange's
-/// and the aggregate is order-independent, so the result is
-/// bit-identical to the single-device plan. A shard whose device fails
+/// modelled mesh through the transfer layer — each one pulled in place
+/// to its destination device, chunk-wise with retry, nothing copied —
+/// and each shard probes its partition of the host columns in parallel.
+/// Tuple-at-a-time semantics are ProcessRange's and the aggregate is
+/// order-independent, so the result is bit-identical to the
+/// single-device plan. A shard whose device fails
 /// its modelled allocation degrades alone — the other shards keep their
 /// placements (shard-by-shard fault ladder).
 Status RunProbeSharded(const PhysicalPlan& plan,
@@ -437,9 +438,11 @@ Status RunProbeSharded(const PhysicalPlan& plan,
     if (src != dst) ++moved_tuples[src][dst];
   }
 
-  // Exchange stage: every non-empty (src, dst) partition is staged to
-  // the destination device through the transfer layer, chunk-wise with
-  // retry, payload = every probe-operator column of the moved tuples.
+  // Exchange stage: every non-empty (src, dst) partition — payload =
+  // every probe-operator column of the moved tuples — is pulled to the
+  // destination device through the transfer layer, chunk-wise with
+  // retry. The shards probe the host columns in place, so the exchange
+  // walks the partition's chunks and moves nothing.
   const transfer::TransferFaultOptions fault_options{options.injector,
                                                      options.retry};
   engine::PipelineOutcome exchange_row;
@@ -452,8 +455,6 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   const std::uint64_t tuple_bytes =
       static_cast<std::uint64_t>(plan.probe.ops.size()) *
       sizeof(std::int64_t);
-  std::vector<std::int64_t> scratch;
-  std::vector<memory::Buffer> staged;
   for (std::size_t src = 0; src < shard_count; ++src) {
     for (std::size_t dst = 0; dst < shard_count; ++dst) {
       const std::uint64_t tuples = moved_tuples[src][dst];
@@ -462,21 +463,17 @@ Status RunProbeSharded(const PhysicalPlan& plan,
         return options.cancel->ToStatus();
       }
       const std::uint64_t bytes = tuples * tuple_bytes;
-      scratch.assign(bytes / sizeof(std::int64_t), 0);
       // The exchange works on behalf of the destination shard: stamp its
-      // staging spans with it so a per-query timeline shows which shard
+      // transfer spans with it so a per-query timeline shows which shard
       // each partition transfer fed.
       obs::ScopedShard shard_scope(static_cast<std::int32_t>(dst));
       PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "exchange.partition",
                       static_cast<double>(bytes),
                       static_cast<double>(devices[dst]));
-      transfer::TransferStats stats;
       PUMP_ASSIGN_OR_RETURN(
-          memory::Buffer device,
-          transfer::StageToDevice(scratch.data(), bytes, devices[dst],
-                                  options.chunk_bytes, options.os_page_bytes,
-                                  fault_options, &stats));
-      staged.push_back(std::move(device));
+          const transfer::TransferStats stats,
+          transfer::PullInPlace(bytes, devices[dst], options.chunk_bytes,
+                                fault_options));
       report->transfer_retries += stats.retries;
       report->faults_injected += stats.faults_injected;
       report->modelled_backoff_s += stats.modelled_backoff_s;
@@ -505,9 +502,9 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   exchange_row.measured_s = SecondsSince(exchange_start);
   report->shards.push_back(std::move(exchange_row));
 
-  // Per-shard modelled device placement: each shard stages its partition
-  // on its own device. A failed shard degrades to the CPU alone; the
-  // remaining shards keep their devices.
+  // Per-shard modelled device placement: each shard's partition is
+  // allocated on its own device. A failed shard degrades to the CPU
+  // alone; the remaining shards keep their devices.
   hw::Topology topology =
       plan.profile != nullptr ? plan.profile->topology : hw::IbmAc922();
   memory::MemoryManager manager(&topology, /*materialize=*/false);

@@ -50,8 +50,8 @@ Result<BoundProbe> BindProbe(
     const ColumnSource& source) {
   BoundProbe bound;
   // Fixed binding order (measure, filters, probe keys): for GPU
-  // placements the source stages columns, and this order keeps a seeded
-  // transfer-chunk fault stream replayable.
+  // placements the source pulls columns chunk by chunk, and this order
+  // keeps a seeded transfer-chunk fault stream replayable.
   for (const Operator& op : plan.probe.ops) {
     if (op.kind != OpKind::kAggregate) continue;
     PUMP_ASSIGN_OR_RETURN(bound.measure, source(op.column));
@@ -78,8 +78,14 @@ Result<BoundProbe> BindProbe(
   return bound;
 }
 
-void ProcessRange(const BoundProbe& bound, std::size_t begin,
-                  std::size_t end, std::uint64_t* rows, std::int64_t* sum) {
+// The two hot loops start on a cache line, so their speed does not
+// depend on where the linker happens to place them: builds that differ
+// only elsewhere (PUMP_TRACE on and off) then time the same code.
+__attribute__((aligned(64))) void ProcessRange(const BoundProbe& bound,
+                                               std::size_t begin,
+                                               std::size_t end,
+                                               std::uint64_t* rows,
+                                               std::int64_t* sum) {
   for (std::size_t i = begin; i < end; ++i) {
     bool qualifies = true;
     for (const BoundFilter& filter : bound.filters) {
@@ -101,9 +107,9 @@ void ProcessRange(const BoundProbe& bound, std::size_t begin,
   }
 }
 
-void ProcessIndices(const BoundProbe& bound, const std::uint32_t* indices,
-                    std::size_t count, std::uint64_t* rows,
-                    std::int64_t* sum) {
+__attribute__((aligned(64))) void ProcessIndices(
+    const BoundProbe& bound, const std::uint32_t* indices, std::size_t count,
+    std::uint64_t* rows, std::int64_t* sum) {
   for (std::size_t n = 0; n < count; ++n) {
     const std::size_t i = indices[n];
     bool qualifies = true;

@@ -67,10 +67,11 @@ struct BoundProbeStep {
 };
 
 /// The probe pipeline with every column resolved — no name lookups in
-/// the hot loop. Column pointers reference either the fact table's
-/// columns (CPU placements) or transferred device buffers (GPU
-/// placements); ProcessRange is identical for both, which is what makes
-/// the placements bit-compatible.
+/// the hot loop. Column pointers reference the fact table's own columns
+/// under every placement: a GPU placement pulls them in place (the
+/// pull-based transfer methods read host memory where it lives) instead
+/// of copying them, and ProcessRange is identical for all placements,
+/// which is what makes them bit-compatible.
 struct BoundProbe {
   const std::int64_t* measure = nullptr;
   std::vector<BoundFilter> filters;
@@ -78,15 +79,16 @@ struct BoundProbe {
 };
 
 /// Maps a fact column name to the pointer the pipeline reads. GPU
-/// placements stage the column into a device buffer here; a null pointer
-/// is only valid for an empty fact table.
+/// placements pull the column in place here (its chunks walk the
+/// transfer failpoints) and return the host pointer; a null pointer is
+/// only valid for an empty fact table.
 using ColumnSource =
     std::function<Result<const std::int64_t*>(const std::string&)>;
 
 /// Resolves `plan`'s probe pipeline against `tables` (one per build
 /// pipeline, in order) and `source`. Columns are resolved in the fixed
 /// order measure, filters, probe keys, so a seeded transfer-fault
-/// schedule meets the staged chunks in the same order on every run and
+/// schedule meets the pulled chunks in the same order on every run and
 /// replays identically. Tables are shared handles so a probe can
 /// reference cache-resident builds owned jointly with other queries
 /// (plan/build_cache.h); the bound pipeline keeps them alive.

@@ -17,9 +17,10 @@ struct SystemProfile;
 namespace pump::plan {
 
 /// Where a pipeline executes. Placements are modelled (the GPU is
-/// simulated): kGpu transfers the referenced fact columns into device
-/// buffers and drives a GPU proxy scheduler group; kHeterogeneous adds
-/// the CPU worker group next to the GPU proxy (the paper's Sec. 6.1
+/// simulated): kGpu pulls the referenced fact columns in place over the
+/// interconnect (chunk by chunk through the transfer failpoints, no
+/// device copy) and drives a GPU proxy scheduler group; kHeterogeneous
+/// adds the CPU worker group next to the GPU proxy (the paper's Sec. 6.1
 /// scheme); kCpu runs the plain host morsel loop.
 enum class PipelinePlacement : std::uint8_t { kCpu, kGpu, kHeterogeneous };
 

@@ -92,6 +92,30 @@ Status RunChunk(const TransferFaultOptions& faults, bool um_site,
 
 }  // namespace
 
+Result<TransferStats> PullInPlace(
+    std::uint64_t bytes, hw::MemoryNodeId gpu_node, std::uint64_t chunk_bytes,
+    const TransferFaultOptions& faults,
+    const std::function<void(std::uint64_t, std::uint64_t)>& on_chunk) {
+  if (chunk_bytes == 0) {
+    return Status::InvalidArgument("chunk size must be positive");
+  }
+  // The GPU dereferences CPU memory directly; no bytes land in GPU
+  // memory. Each chunk of reads still crosses the interconnect, so the
+  // chunk failpoint applies (a dropped read burst is retried
+  // transparently).
+  TransferStats stats;
+  stats.direct_access = true;
+  for (std::uint64_t offset = 0; offset < bytes; offset += chunk_bytes) {
+    const std::uint64_t len = std::min(chunk_bytes, bytes - offset);
+    PUMP_RETURN_NOT_OK(RunChunk(faults, /*um_site=*/false, offset, len,
+                                gpu_node, &stats,
+                                [] { return Status::OK(); }));
+    ++stats.chunks;
+    if (on_chunk) on_chunk(offset, len);
+  }
+  return stats;
+}
+
 Result<TransferStats> ExecuteTransfer(
     TransferMethod method, const memory::Buffer& src, memory::Buffer* dst,
     hw::MemoryNodeId gpu_node, std::uint64_t chunk_bytes,
@@ -117,25 +141,12 @@ Result<TransferStats> ExecuteTransfer(
     return Status::InvalidArgument("UnifiedRegion size mismatch");
   }
 
-  TransferStats stats;
-
   if (!IsPush(method) && method != TransferMethod::kUmMigration) {
-    // Zero-Copy / Coherence: the GPU dereferences CPU memory directly; no
-    // bytes land in GPU memory. Consumers read `src` in place. Each chunk
-    // of reads still crosses the interconnect, so the chunk failpoint
-    // applies (a dropped read burst is retried transparently).
-    stats.direct_access = true;
-    for (std::uint64_t offset = 0; offset < src.size();
-         offset += chunk_bytes) {
-      const std::uint64_t len = std::min(chunk_bytes, src.size() - offset);
-      PUMP_RETURN_NOT_OK(RunChunk(faults, /*um_site=*/false, offset, len,
-                                  gpu_node, &stats,
-                                  [] { return Status::OK(); }));
-      ++stats.chunks;
-      if (on_chunk) on_chunk(offset, len);
-    }
-    return stats;
+    // Zero-Copy / Coherence: consumers read `src` in place.
+    return PullInPlace(src.size(), gpu_node, chunk_bytes, faults, on_chunk);
   }
+
+  TransferStats stats;
 
   if (method == TransferMethod::kUmMigration) {
     // Demand paging: every touched page migrates to the GPU node.

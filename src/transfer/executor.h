@@ -72,11 +72,27 @@ Result<TransferStats> ExecuteTransfer(
     const std::function<void(std::uint64_t, std::uint64_t)>& on_chunk = {},
     const TransferFaultOptions& faults = {});
 
+/// Pulls `bytes` of host memory to `gpu_node` in place — the pull-based
+/// Zero-Copy / Coherence methods of Table 1: the GPU reads the host
+/// bytes where they live, so nothing is allocated or copied and the
+/// caller keeps using its own pointer. The bytes are still walked chunk
+/// by chunk, each chunk through the same `link.degrade` check,
+/// `transfer.chunk` retry, span and counters as a Pinned Copy chunk of
+/// ExecuteTransfer, so a seeded fault schedule replays identically
+/// whichever of the two moves the bytes. `on_chunk(offset, bytes)` runs
+/// after each chunk lands. Fails with InvalidArgument on a zero
+/// `chunk_bytes`; zero `bytes` is zero chunks.
+Result<TransferStats> PullInPlace(
+    std::uint64_t bytes, hw::MemoryNodeId gpu_node, std::uint64_t chunk_bytes,
+    const TransferFaultOptions& faults,
+    const std::function<void(std::uint64_t, std::uint64_t)>& on_chunk = {});
+
 /// Stages `bytes` of host data into a device buffer on `gpu_node`: pinned
-/// bounce buffer, then a chunk-wise kPinnedCopy with per-chunk retry —
-/// the shared column-staging path of the engine's GPU-placed pipelines.
-/// Accumulates the transfer counters into `*stats` when non-null. Fails
-/// with InvalidArgument on an empty input (callers skip empty columns).
+/// bounce buffer, then a chunk-wise kPinnedCopy with per-chunk retry.
+/// The engine does not call it — its GPU-side pipelines pull in place
+/// (PullInPlace); it stays as the copy-based staging cost that
+/// perfbench's layer pass times. Accumulates the transfer counters into
+/// `*stats` when non-null. Fails with InvalidArgument on an empty input.
 Result<memory::Buffer> StageToDevice(const void* host, std::uint64_t bytes,
                                      hw::MemoryNodeId gpu_node,
                                      std::uint64_t chunk_bytes,

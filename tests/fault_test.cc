@@ -411,6 +411,59 @@ TEST_F(TransferFaultTest, LinkDegradationIsObservedNotFatal) {
   EXPECT_EQ(std::memcmp(src.data(), dst.data(), kBytes), 0);
 }
 
+// A pulled chunk meets the same checks as a Pinned Copy chunk, so a
+// seeded fault schedule replays the same whichever of the two walks the
+// bytes.
+TEST_F(TransferFaultTest, PullInPlaceReplaysThePinnedCopySchedule) {
+  // An odd size leaves a short last chunk.
+  constexpr std::uint64_t kOddBytes = kBytes - 100;
+  auto arm = [](fault::FaultInjector* injector) {
+    fault::FaultSpec chunk;
+    chunk.probability = 0.3;
+    injector->Arm(fault::kTransferChunk, chunk);
+    fault::FaultSpec degrade;
+    degrade.probability = 0.5;
+    injector->Arm(fault::kLinkDegrade, degrade);
+  };
+  fault::FaultInjector copy_injector(26);
+  arm(&copy_injector);
+  transfer::TransferFaultOptions copy_faults;
+  copy_faults.injector = &copy_injector;
+  copy_faults.retry.max_attempts = 20;
+  Buffer src(kOddBytes, MemoryKind::kPinned, {Extent{hw::kCpu0, kOddBytes}});
+  Buffer dst(kOddBytes, MemoryKind::kDevice, {Extent{hw::kGpu0, kOddBytes}});
+  auto copied = transfer::ExecuteTransfer(TransferMethod::kPinnedCopy, src,
+                                          &dst, hw::kGpu0, kChunk, 4096,
+                                          nullptr, {}, copy_faults);
+  ASSERT_TRUE(copied.ok()) << copied.status();
+
+  fault::FaultInjector pull_injector(26);
+  arm(&pull_injector);
+  transfer::TransferFaultOptions pull_faults = copy_faults;
+  pull_faults.injector = &pull_injector;
+  auto pulled =
+      transfer::PullInPlace(kOddBytes, hw::kGpu0, kChunk, pull_faults);
+  ASSERT_TRUE(pulled.ok()) << pulled.status();
+
+  EXPECT_EQ(pulled.value().chunks, copied.value().chunks);
+  EXPECT_EQ(pulled.value().chunks, (kOddBytes + kChunk - 1) / kChunk);
+  EXPECT_GT(pulled.value().faults_injected, 0u);
+  EXPECT_EQ(pulled.value().faults_injected, copied.value().faults_injected);
+  EXPECT_EQ(pulled.value().retries, copied.value().retries);
+  EXPECT_GT(pulled.value().degraded_chunks, 0u);
+  EXPECT_EQ(pulled.value().degraded_chunks, copied.value().degraded_chunks);
+  EXPECT_EQ(pulled.value().modelled_backoff_s,
+            copied.value().modelled_backoff_s);
+  // Nothing moves: the consumer reads the host bytes in place.
+  EXPECT_TRUE(pulled.value().direct_access);
+  EXPECT_EQ(pulled.value().bytes_copied, 0u);
+
+  auto zero_chunk = transfer::PullInPlace(kOddBytes, hw::kGpu0,
+                                          /*chunk_bytes=*/0, pull_faults);
+  ASSERT_FALSE(zero_chunk.ok());
+  EXPECT_EQ(zero_chunk.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(TransferFaultTest, UmMigrateFaultsAreRetriedToo) {
   Buffer src(kBytes, MemoryKind::kUnified, {Extent{hw::kCpu0, kBytes}});
   memory::UnifiedRegion region(kBytes, 4096, hw::kCpu0);

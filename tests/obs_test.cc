@@ -15,6 +15,7 @@
 #include "engine/ssb.h"
 #include "exec/parallel.h"
 #include "fault/fault_injector.h"
+#include "hw/system_profile.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/query_context.h"
@@ -653,6 +654,42 @@ TEST(FlightRecorderTest, CaptureWithTracingOffLeavesTailEmpty) {
   EXPECT_FALSE(retained[0].report_json.empty());
 }
 
+// A single-device plan on a mesh pulls its probe columns to the device
+// the compiler chose, so every transfer chunk of the probe is traced
+// against that device, not against the AC922's GPU id.
+TEST(TransferTraceTest, ProbePullsAreChargedToThePlansDevice) {
+  const engine::SsbDatabase db = engine::SsbDatabase::Generate(4000, 7);
+  const std::vector<engine::NamedQuery> suite = engine::SsbSuite(db);
+  ASSERT_FALSE(suite.empty());
+  const hw::SystemProfile ring = hw::NvlinkRingProfile(4);
+  plan::CompileOptions compile_options;
+  compile_options.policy = plan::PlacementPolicy::kGpuPreferred;
+  compile_options.profile = &ring;
+  compile_options.shard_devices = {3};
+  Result<plan::PhysicalPlan> physical =
+      plan::Compile(suite.front().query, compile_options);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  ASSERT_EQ(physical.value().probe.device_set, plan::DeviceSet{3});
+
+  engine::ExecOptions options;
+  options.workers = 2;
+  options.chunk_bytes = 8 * 1024;  // Several chunks per column.
+  ScopedTracing tracing;
+  Result<engine::ExecReport> report =
+      plan::ExecutePlan(physical.value(), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().used_gpu);
+  if (MacrosCompiledOut()) return;
+  std::size_t begins = 0;
+  for (const obs::TraceEvent& chunk :
+       EventsNamed(TraceRecorder::Instance().Snapshot(), "transfer.chunk")) {
+    if (chunk.phase != 'B') continue;  // End events carry no args.
+    ++begins;
+    EXPECT_EQ(chunk.arg1, 3.0);
+  }
+  EXPECT_GT(begins, 0u);
+}
+
 // Satellite regression: a mid-query ladder re-placement must not erase
 // the per-pipeline outcome rows — the report still says which placement
 // was tried and which produced the result.
@@ -671,7 +708,7 @@ TEST(PipelineOutcomeTest, RowsSurviveProbeReplacementOnCpu) {
   ASSERT_GT(builds, 0u);
 
   // Hard-fail the probe pipeline's GPU stage: a non-retryable fault on
-  // the fact-column staging (only the probe stages transfer chunks) makes
+  // the fact-column pull (only the probe walks transfer chunks) makes
   // rung 3 re-place the probe on the CPU, reusing the cached builds.
   fault::FaultInjector injector(/*seed=*/11);
   fault::FaultSpec hard_fault;

@@ -90,6 +90,19 @@ const FaultScenario kScenarios[] = {
     {"group_stall", 53, ArmGroupStall, TuneGroupStall, true, true},
 };
 
+/// Transfer-fault counts `transient_transfer` reports per query. The
+/// seeded schedule meets the probe's column chunks in bind order, before
+/// any worker starts, so they replay exactly at every worker count.
+struct TransferFaultCounts {
+  std::uint64_t transfer_retries;
+  std::uint64_t faults_injected;
+};
+const std::map<std::string, TransferFaultCounts> kTransientTransferCounts = {
+    {"ssb-q1", {24, 24}},
+    {"ssb-q2", {10, 10}},
+    {"ssb-q3", {24, 24}},
+};
+
 class GoldenEquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -135,6 +148,12 @@ TEST_F(GoldenEquivalenceTest, SsbSuiteMatchesOracleAcrossWorkersAndFaults) {
         EXPECT_EQ(report.value().result, expected);
         EXPECT_EQ(report.value().used_gpu, scenario.used_gpu);
         EXPECT_EQ(report.value().degraded, scenario.degraded);
+        if (std::string(scenario.name) == "transient_transfer") {
+          const TransferFaultCounts& counts =
+              kTransientTransferCounts.at(named.name);
+          EXPECT_EQ(report.value().transfer_retries, counts.transfer_retries);
+          EXPECT_EQ(report.value().faults_injected, counts.faults_injected);
+        }
       }
     }
   }
