@@ -1,7 +1,7 @@
 // Execution-runtime microbenches: (1) spawn-per-call vs persistent
 // fork-join dispatch latency, (2) flat global morsel claiming vs
-// hierarchical claiming with work-stealing, (3) scalar vs interleaved
-// prefetching hash probe on an out-of-cache table.
+// hierarchical claiming with work-stealing. The hash probe kernels are
+// timed by micro_hashtable's ht_probe_* records.
 //
 // Hand-rolled harness (no google-benchmark): the fork-join experiment
 // times the dispatch primitive itself, and every experiment emits
@@ -21,14 +21,11 @@
 
 #include "bench_support/harness.h"
 #include "bench_support/json_writer.h"
-#include "common/cpu_features.h"
-#include "common/rng.h"
 #include "common/statistics.h"
 #include "exec/executor.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
 #include "exec/work_stealing.h"
-#include "hash/hash_table.h"
 
 namespace pump {
 namespace {
@@ -37,12 +34,6 @@ using Clock = std::chrono::steady_clock;
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double Mean(const std::vector<double>& samples) {
-  RunningStats stats;
-  for (double sample : samples) stats.Add(sample);
-  return stats.mean();
 }
 
 /// The pre-executor ParallelFor, reproduced as the spawn-per-call
@@ -173,126 +164,6 @@ void BenchClaiming(bench::JsonWriter* json, bool quick) {
   }
 }
 
-/// Experiment 3: scalar Lookup loop vs interleaved ProbeBatch vs the
-/// 8-wide AVX2 ProbeBatch on a table larger than the last-level cache,
-/// where every probe is a DRAM miss. The interleaved variant runs under
-/// a forced-scalar dispatch scope so both fallback tiers stay measured
-/// on AVX2 hosts; the simd variant takes whatever the host dispatches
-/// (its config string records which).
-template <typename Table>
-void BenchProbe(bench::JsonWriter* json, const std::string& table_name,
-                const Table& table, const std::vector<std::int64_t>& probes,
-                int runs) {
-  const std::size_t count = probes.size();
-  std::vector<std::int64_t> values(count);
-  std::vector<char> found_bytes(count);  // vector<bool> has no data().
-  bool* found = reinterpret_cast<bool*>(found_bytes.data());
-
-  std::uint64_t scalar_matches = 0;
-  const std::vector<double> scalar =
-      bench::RepeatSamples(runs, bench::kDefaultWarmup, [&] {
-        scalar_matches = 0;
-        const auto start = Clock::now();
-        for (std::size_t i = 0; i < count; ++i) {
-          std::int64_t value;
-          if (table.Lookup(probes[i], &value)) {
-            ++scalar_matches;
-            values[i] = value;
-          }
-        }
-        return SecondsSince(start) * 1e9 / static_cast<double>(count);
-      });
-  std::uint64_t batch_matches = 0;
-  std::vector<double> interleaved;
-  {
-    common::ScopedForceScalar scalar_dispatch;
-    interleaved = bench::RepeatSamples(runs, bench::kDefaultWarmup, [&] {
-      const auto start = Clock::now();
-      batch_matches =
-          table.ProbeBatch(probes.data(), count, values.data(), found);
-      return SecondsSince(start) * 1e9 / static_cast<double>(count);
-    });
-  }
-  std::uint64_t simd_matches = 0;
-  const std::vector<double> simd =
-      bench::RepeatSamples(runs, bench::kDefaultWarmup, [&] {
-        const auto start = Clock::now();
-        simd_matches =
-            table.ProbeBatch(probes.data(), count, values.data(), found);
-        return SecondsSince(start) * 1e9 / static_cast<double>(count);
-      });
-  if (scalar_matches != batch_matches || scalar_matches != simd_matches) {
-    std::cerr << "FATAL: probe variants disagree (" << scalar_matches
-              << " vs " << batch_matches << " vs " << simd_matches
-              << " matches)\n";
-    std::exit(1);
-  }
-
-  const std::string config =
-      "table=" + table_name + " slots=" + std::to_string(table.capacity()) +
-      " probes=" + std::to_string(count);
-  const std::string dispatch =
-      common::SimdDispatchName(common::ActiveSimdDispatch());
-  const double scalar_mean = Mean(scalar);
-  const double interleaved_mean = Mean(interleaved);
-  const double simd_mean = Mean(simd);
-  std::cout << "  " << config << "\n"
-            << "    scalar:             " << scalar_mean << " ns/probe\n"
-            << "    interleaved:        " << interleaved_mean
-            << " ns/probe\n"
-            << "    simd (" << dispatch << "):  " << simd_mean
-            << " ns/probe\n";
-  const double speedup =
-      interleaved_mean > 0.0 ? scalar_mean / interleaved_mean : 0.0;
-  const double simd_speedup = simd_mean > 0.0 ? scalar_mean / simd_mean : 0.0;
-  std::printf("    interleaved speedup: %.2fx  simd speedup: %.2fx\n",
-              speedup, simd_speedup);
-  json->RecordSamples("probe_ns", "scalar " + config, scalar);
-  json->RecordSamples("probe_ns", "interleaved " + config, interleaved);
-  json->RecordSamples("probe_ns", "simd " + config, simd);
-  json->Record("probe_speedup", config, speedup, 0.0, runs);
-  json->Record("probe_simd_speedup", "dispatch=" + dispatch + " " + config,
-               simd_speedup, 0.0, runs);
-}
-
-void BenchProbePipeline(bench::JsonWriter* json, bool quick) {
-  // Full size: 2^25 entries -> 512 MiB (perfect) / 1 GiB (linear probing,
-  // load factor 0.5) of table, several times a large L3, so probes miss
-  // all cache levels. Quick: everything cache-resident — the smoke test
-  // only checks that both paths run and agree.
-  const std::size_t entries = quick ? (1u << 14) : (1u << 25);
-  const std::size_t count = quick ? (1u << 14) : (1u << 22);
-  const int runs = quick ? 2 : 5;
-
-  bench::PrintBanner(std::cout, "micro_parallel/probe_pipeline",
-                     "Per-probe latency (ns), scalar dependent-miss loop "
-                     "vs interleaved prefetching ProbeBatch (width " +
-                         std::to_string(hash::kProbeBatchWidth) + ")");
-
-  Rng rng(42);
-  std::vector<std::int64_t> probes(count);
-  for (auto& key : probes) {
-    key = static_cast<std::int64_t>(rng.NextBounded(entries));
-  }
-
-  {
-    hash::PerfectHashTable<std::int64_t, std::int64_t> table(entries);
-    for (std::size_t i = 0; i < entries; ++i) {
-      const auto key = static_cast<std::int64_t>(i);
-      if (!table.Insert(key, key + 1).ok()) std::exit(1);
-    }
-    BenchProbe(json, "perfect", table, probes, runs);
-  }
-  {
-    hash::LinearProbingHashTable<std::int64_t, std::int64_t> table(entries);
-    for (std::size_t i = 0; i < entries; ++i) {
-      const auto key = static_cast<std::int64_t>(i);
-      if (!table.Insert(key, key + 1).ok()) std::exit(1);
-    }
-    BenchProbe(json, "linear_probing", table, probes, runs);
-  }
-}
-
 }  // namespace
 }  // namespace pump
 
@@ -306,7 +177,6 @@ int main(int argc, char** argv) {
 
   pump::BenchForkJoin(&json, quick);
   pump::BenchClaiming(&json, quick);
-  pump::BenchProbePipeline(&json, quick);
 
   if (!json.Write()) {
     std::cerr << "failed to write " << json.path() << "\n";

@@ -3,12 +3,14 @@
 # into BENCH_micro.json at the repo root, so perf trajectories are
 # diffable commit over commit.
 #
-#   micro_parallel  — hand-rolled harness, emits records via --json
+#   micro_parallel  — hand-rolled harness, emits records via --json:
+#                     fork-join dispatch latency and morsel claiming
 #   micro_engine    — hand-rolled harness: plan-IR latency per SSB query
 #                     and Q6 with the trace recorder off and on, plus
 #                     compile time and the enabled-tracing overhead
 #   micro_hashtable — records section only (--records-only): scalar vs
-#                     interleaved vs SIMD ht_probe_ns per table kind
+#                     interleaved vs SIMD ht_probe_ns per table kind, the
+#                     one benchmark of the ProbeBatch kernels
 #   micro_join      — records section only (--records-only): direct
 #                     scatter vs software write-combining partition pass
 #   micro_morsel    — google-benchmark, emits benchmark_out JSON that is

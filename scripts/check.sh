@@ -11,8 +11,10 @@
 #      PUMP_VERIFY=ON: verify_test + verifydump --quick with a >= 1000
 #      schedule floor, 100% mutant kills, acyclic lock order), and the
 #      shim lint (no raw std:: primitives in verifier-migrated files)
-#   4. micro_parallel + micro_engine --quick smoke runs (probe pipeline
-#      self-checks; every timed plan-IR run must equal the first)
+#   4. micro_parallel, micro_hashtable (--records-only) and micro_engine
+#      --quick smoke runs (the three ProbeBatch variants must agree on
+#      every found/value output; every timed plan-IR run must equal the
+#      first)
 #   5. modelcheck: both testbed profiles must pass, the broken fixture
 #      must fail with named violations; modelcheck --mesh must accept
 #      every N-GPU mesh topology profile (ring/crossbar/SLI/P2P/
@@ -40,8 +42,10 @@
 #      guard: micro_engine's plan IR with spans compiled in but the
 #      recorder off (build-release) must average <= 5% over the same
 #      binary built with PUMP_TRACE=OFF, the two run alternately; first,
-#      plan::ProcessRange must start at the same offset mod 64 in both
-#      binaries, so the comparison does not time code layout
+#      every symbol holding the probe loop (plan::ProcessRange and
+#      ProcessIndices, the AVX2 ProbeBatch kernels) must start at the
+#      same offset mod 64 in both binaries, so the comparison does not
+#      time code layout
 #   9. clang-tidy over src/tests/bench/tools (skipped when not installed)
 #
 # Usage: scripts/check.sh [-j N]
@@ -198,14 +202,19 @@ if grep -nE 'std::(mutex|condition_variable|atomic|thread)\b' \
 fi
 echo "migrated files use verify:: shims only"
 
-# 4. Executor/dispatcher/probe micro bench smoke run (Release, shrunken
-#    sizes): the bench self-checks that the probe variants agree and
-#    exercises the persistent executor end to end. micro_engine likewise
-#    self-checks that every timed plan-IR run, recorder off and on,
-#    returns the first run's result.
+# 4. Micro bench smoke runs (Release, shrunken sizes): micro_parallel
+#    exercises the persistent executor's dispatch and morsel claiming end
+#    to end; micro_hashtable's records section self-checks that the
+#    scalar, interleaved and SIMD probe variants agree on the match count
+#    and every found/value output. micro_engine likewise self-checks that
+#    every timed plan-IR run, recorder off and on, returns the first
+#    run's result.
 
 say "micro_parallel smoke run (--quick)"
 ./build-release/bench/micro_parallel --quick >/dev/null
+
+say "micro_hashtable smoke run (--quick --records-only)"
+./build-release/bench/micro_hashtable --quick --records-only >/dev/null
 
 say "micro_engine smoke run (--quick)"
 ./build-release/bench/micro_engine --quick >/dev/null
@@ -535,32 +544,42 @@ PY
 #    order, so drift on a shared host hits both sides alike. Each side's
 #    per-query figure is the median across rounds of that run's
 #    `engine_query_us plan_ir` median; the gate is on the mean of the
-#    per-query overheads. The hot probe loop is aligned to a cache line
-#    in the source; the layout check below fails the gate if the two
-#    binaries still place it differently, because then the comparison
-#    would measure where the linker put the loop, not the spans.
+#    per-query overheads. The probe loop is aligned to a cache line in
+#    the source: its body is forced inline into the two plan entry
+#    points, and the AVX2 kernels it calls start on their own lines. The
+#    layout check below fails the gate if the two binaries still place
+#    any of these symbols differently, because then the comparison would
+#    measure where the linker put the loop, not the spans.
 configure_and_test build-notrace "" "" -DPUMP_TRACE=OFF
 
-say "hot-loop layout: plan::ProcessRange at the same offset mod 64 in both"
-offsets=()
-for side in release notrace; do
-  # awk reads nm's whole output: exiting early would end nm with SIGPIPE,
-  # which pipefail turns into a failed gate.
-  addr="$(nm -C "./build-$side/bench/micro_engine" |
-          awk 'index($3, "pump::plan::ProcessRange(") == 1 && !found {
-                 print $1; found = 1 }')"
-  if [[ -z "$addr" ]]; then
-    echo "no plan::ProcessRange symbol in build-$side/bench/micro_engine" >&2
+say "probe-loop layout: every loop symbol at the same offset mod 64 in both"
+PROBE_LOOP_SYMBOLS=(
+  pump::plan::ProcessRange
+  pump::plan::ProcessIndices
+  pump::hash::simd::ProbePerfectAvx2
+  pump::hash::simd::ProbeLinearAvx2
+)
+for symbol in "${PROBE_LOOP_SYMBOLS[@]}"; do
+  offsets=()
+  for side in release notrace; do
+    # awk reads nm's whole output: exiting early would end nm with
+    # SIGPIPE, which pipefail turns into a failed gate.
+    addr="$(nm -C "./build-$side/bench/micro_engine" |
+            awk -v name="$symbol(" 'index($3, name) == 1 && !found {
+                   print $1; found = 1 }')"
+    if [[ -z "$addr" ]]; then
+      echo "no $symbol symbol in build-$side/bench/micro_engine" >&2
+      exit 1
+    fi
+    offsets+=("$(( 16#$addr % 64 ))")
+  done
+  if [[ "${offsets[0]}" != "${offsets[1]}" ]]; then
+    echo "$symbol starts at ${offsets[0]} mod 64 in build-release" \
+         "but at ${offsets[1]} mod 64 in build-notrace" >&2
     exit 1
   fi
-  offsets+=("$(( 16#$addr % 64 ))")
+  echo "$symbol starts at ${offsets[0]} mod 64 in both binaries"
 done
-if [[ "${offsets[0]}" != "${offsets[1]}" ]]; then
-  echo "plan::ProcessRange starts at ${offsets[0]} mod 64 in build-release" \
-       "but at ${offsets[1]} mod 64 in build-notrace" >&2
-  exit 1
-fi
-echo "plan::ProcessRange starts at ${offsets[0]} mod 64 in both binaries"
 
 say "disabled-tracing overhead guard: release vs PUMP_TRACE=OFF (mean <= 5%)"
 OVERHEAD_ROUNDS=10

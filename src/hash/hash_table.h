@@ -184,8 +184,10 @@ class PerfectHashTable {
   /// to calling Lookup per key. Dispatches at runtime between the
   /// 8-wide AVX2 gather kernel and the interleaved-prefetch fallback
   /// (common/cpu_features.h); every call site — ProbePhase/ProbeRange,
-  /// the star probe, plan::operators, the hybrid table — picks the
-  /// vectorized path up through this entry point unchanged.
+  /// the star probe, the hybrid table and the plan IR's probe loop
+  /// (plan/operators.cc, through DimensionTable::ProbeBatch, which every
+  /// served query runs) — picks the vectorized path up through this
+  /// entry point unchanged.
   std::size_t ProbeBatch(const K* keys, std::size_t count, V* values,
                          bool* found) const {
     if constexpr (std::is_same_v<K, std::int64_t> &&

@@ -98,16 +98,13 @@ inline std::size_t ResolvePerfect4(const std::int64_t* slot_values,
   // out-of-domain key (-1) — and `valid` kills that lane anyway.
   const __m256i hit = _mm256_and_si256(valid, _mm256_cmpeq_epi64(stored, k));
   const int mask = MoveMask64(hit);
-  if (mask != 0) {
-    const __m256i vals = _mm256_mask_i64gather_epi64(
-        _mm256_setzero_si256(),
-        reinterpret_cast<const long long*>(slot_values), k, hit, 8);
-    alignas(32) std::int64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), vals);
-    for (int lane = 0; lane < 4; ++lane) {
-      if ((mask >> lane) & 1) values[lane] = tmp[lane];
-    }
-  }
+  // Gather and store the hit lanes' values under the hit mask, without a
+  // branch per lane: at the hit rates of selective joins those branches
+  // mispredict. Miss lanes' values stay untouched, as in the scalar path.
+  const __m256i vals = _mm256_mask_i64gather_epi64(
+      _mm256_setzero_si256(), reinterpret_cast<const long long*>(slot_values),
+      k, hit, 8);
+  _mm256_maskstore_epi64(reinterpret_cast<long long*>(values), hit, vals);
   for (int lane = 0; lane < 4; ++lane) {
     found[lane] = ((mask >> lane) & 1) != 0;
   }
@@ -169,11 +166,13 @@ inline std::size_t ResolveLinear4(const std::int64_t* slot_keys,
 
 }  // namespace
 
-std::size_t ProbePerfectAvx2(const std::int64_t* slot_keys,
-                             const std::int64_t* slot_values,
-                             std::size_t capacity, const std::int64_t* keys,
-                             std::size_t count, std::int64_t* values,
-                             bool* found) {
+// Both kernels start on a cache line, like the plan's probe loop that
+// calls them (plan/operators.cc), so builds that differ only elsewhere
+// time the same code.
+__attribute__((aligned(64))) std::size_t ProbePerfectAvx2(
+    const std::int64_t* slot_keys, const std::int64_t* slot_values,
+    std::size_t capacity, const std::int64_t* keys, std::size_t count,
+    std::int64_t* values, bool* found) {
   std::size_t matches = 0;
   std::size_t i = 0;
 #ifdef PUMP_SIMD_X86
@@ -225,10 +224,10 @@ std::size_t ProbePerfectAvx2(const std::int64_t* slot_keys,
   return matches;
 }
 
-std::size_t ProbeLinearAvx2(const std::int64_t* slot_keys,
-                            const std::int64_t* slot_values, std::size_t mask,
-                            const std::int64_t* keys, std::size_t count,
-                            std::int64_t* values, bool* found) {
+__attribute__((aligned(64))) std::size_t ProbeLinearAvx2(
+    const std::int64_t* slot_keys, const std::int64_t* slot_values,
+    std::size_t mask, const std::int64_t* keys, std::size_t count,
+    std::int64_t* values, bool* found) {
   std::size_t matches = 0;
   std::size_t i = 0;
 #ifdef PUMP_SIMD_X86

@@ -202,9 +202,10 @@ PerSecond NopaJoinModel::HashTableAccessRate(
   const PerSecond memory_side_rate =
       MemorySideRate(device, placement, workload);
   // Hashing and comparison partially serialize with the memory access:
-  // harmonic (back-to-back) combination of the two rates. CPU probes run
-  // the 8-wide AVX2 kernel, which lifts the compute side (and only the
-  // compute side — out-of-cache probes stay memory-limited).
+  // harmonic (back-to-back) combination of the two rates. CPU probes —
+  // the joins' and every served plan's block loop (plan/operators.cc) —
+  // run the 8-wide AVX2 kernel, which lifts the compute side (and only
+  // the compute side — out-of-cache probes stay memory-limited).
   const hw::DeviceSpec& dev = profile_->topology.device(device);
   PerSecond compute = dev.tuple_compute_rate;
   if (dev.kind == hw::DeviceKind::kCpu) {

@@ -222,27 +222,63 @@ Result<TableHandles> RunBuildPipelines(
   return tables;
 }
 
-/// CPU probe pipeline: morsel-parallel with hierarchical work stealing.
-/// Workers poll the cancel token before every morsel claim, so a
-/// cancelled query stops within one morsel per worker and the call
-/// returns the token's status.
-Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
-                                        const engine::ExecOptions& options,
-                                        const TableHandles& tables) {
-  const engine::Table& fact = *plan.query->fact;
-  auto source = [&fact](const std::string& name)
-      -> Result<const std::int64_t*> {
+/// The host column source: binds each fact column by its own pointer,
+/// which every placement probes.
+ColumnSource HostColumns(const engine::Table& fact) {
+  return [&fact](const std::string& name) -> Result<const std::int64_t*> {
     PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
     return column->data();
   };
-  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
+}
 
+/// Pulls `bytes` in place to `device` (transfer::PullInPlace: the chunk
+/// walk through the transfer failpoints, with per-chunk retry) and
+/// charges its retries, faults and modelled backoff to the report and to
+/// `row`, the pipeline the pull feeds.
+Status PullAndCharge(std::uint64_t bytes, hw::DeviceId device,
+                     const engine::ExecOptions& options,
+                     engine::PipelineOutcome* row,
+                     engine::ExecReport* report) {
+  PUMP_ASSIGN_OR_RETURN(
+      const transfer::TransferStats stats,
+      transfer::PullInPlace(bytes, device, options.chunk_bytes,
+                            {options.injector, options.retry}));
+  report->transfer_retries += stats.retries;
+  report->faults_injected += stats.faults_injected;
+  report->modelled_backoff_s += stats.modelled_backoff_s;
+  row->retries += stats.retries;
+  row->faults_injected += stats.faults_injected;
+  return Status::OK();
+}
+
+/// The probe aggregate merged from every worker. Both adds wrap (atomic
+/// integer arithmetic is modular), so the merged count and sum do not
+/// depend on the order workers finish in.
+struct ProbeTotals {
+  std::atomic<std::uint64_t> rows{0};
+  std::atomic<std::int64_t> sum{0};
+
+  void Add(std::uint64_t more_rows, std::int64_t more_sum) {
+    rows.fetch_add(more_rows, std::memory_order_relaxed);
+    sum.fetch_add(more_sum, std::memory_order_relaxed);
+  }
+  engine::QueryResult Result() const { return {rows.load(), sum.load()}; }
+};
+
+/// The morsel driver of the CPU probe and of every shard's probe:
+/// `options.workers` workers claim morsels of `tuples` tuples from a
+/// work-stealing dispatcher and run the probe loop on each — over rows
+/// [begin, end), or over `indices[begin, end)` when `indices` is set.
+/// Workers poll the cancel token before every claim, so a cancelled
+/// query stops within one morsel per worker; the caller checks the token
+/// afterwards.
+void DriveMorsels(const BoundProbe& bound, const std::uint32_t* indices,
+                  std::size_t tuples, const engine::ExecOptions& options,
+                  ProbeTotals* totals) {
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
   const CancelToken* cancel = options.cancel;
-  exec::WorkStealingDispatcher dispatcher(fact.rows(),
-                                          options.morsel_tuples, workers);
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
+  exec::WorkStealingDispatcher dispatcher(tuples, options.morsel_tuples,
+                                          workers);
   exec::ParallelFor(workers, [&](std::size_t w) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.probe",
                     static_cast<double>(w),
@@ -261,14 +297,32 @@ Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
                       static_cast<double>(morsel->size()));
       ++claimed;
       Counters().morsel_tuples.Record(morsel->size());
-      ProcessRange(bound, morsel->begin, morsel->end, &rows, &sum);
+      if (indices != nullptr) {
+        ProcessIndices(bound, indices + morsel->begin, morsel->size(), &rows,
+                       &sum);
+      } else {
+        ProcessRange(bound, morsel->begin, morsel->end, &rows, &sum);
+      }
     }
     Counters().morsels.Add(claimed);
-    total_rows.fetch_add(rows, std::memory_order_relaxed);
-    total_sum.fetch_add(sum, std::memory_order_relaxed);
+    totals->Add(rows, sum);
   });
-  if (cancel != nullptr) PUMP_RETURN_NOT_OK(cancel->ToStatus());
-  return engine::QueryResult{total_rows.load(), total_sum.load()};
+}
+
+/// CPU probe pipeline: the morsel driver over the whole fact table.
+/// Returns the cancel token's status when the query was cancelled.
+Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
+                                        const engine::ExecOptions& options,
+                                        const TableHandles& tables) {
+  const engine::Table& fact = *plan.query->fact;
+  PUMP_ASSIGN_OR_RETURN(BoundProbe bound,
+                        BindProbe(plan, tables, HostColumns(fact)));
+  ProbeTotals totals;
+  DriveMorsels(bound, nullptr, fact.rows(), options, &totals);
+  if (options.cancel != nullptr) {
+    PUMP_RETURN_NOT_OK(options.cancel->ToStatus());
+  }
+  return totals.Result();
 }
 
 /// GPU / heterogeneous probe pipeline: each fact column is pulled in
@@ -290,8 +344,6 @@ Status RunProbeGpu(const PhysicalPlan& plan,
                                                "probe"));
   }
 
-  const transfer::TransferFaultOptions fault_options{options.injector,
-                                                     options.retry};
   // A hand-built plan may carry no device set; compiled ones always do.
   const hw::DeviceId device = plan.probe.device_set.empty()
                                   ? hw::kGpu0
@@ -305,21 +357,13 @@ Status RunProbeGpu(const PhysicalPlan& plan,
     const std::uint64_t bytes = column->size() * sizeof(std::int64_t);
     PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "pull.column",
                     static_cast<double>(bytes), static_cast<double>(device));
-    PUMP_ASSIGN_OR_RETURN(
-        const transfer::TransferStats stats,
-        transfer::PullInPlace(bytes, device, options.chunk_bytes,
-                              fault_options));
-    report->transfer_retries += stats.retries;
-    report->faults_injected += stats.faults_injected;
-    report->modelled_backoff_s += stats.modelled_backoff_s;
-    probe_row.retries += stats.retries;
-    probe_row.faults_injected += stats.faults_injected;
+    PUMP_RETURN_NOT_OK(
+        PullAndCharge(bytes, device, options, &probe_row, report));
     return column->data();
   };
   PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
 
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
+  ProbeTotals totals;
   const std::size_t slice_tuples =
       std::max<std::size_t>(1, options.morsel_tuples);
   auto work = [&](std::size_t begin, std::size_t end) {
@@ -336,8 +380,7 @@ Status RunProbeGpu(const PhysicalPlan& plan,
       ProcessRange(bound, slice, slice_end, &range_rows, &range_sum);
       slice = slice_end;
     }
-    total_rows.fetch_add(range_rows, std::memory_order_relaxed);
-    total_sum.fetch_add(range_sum, std::memory_order_relaxed);
+    totals.Add(range_rows, range_sum);
   };
   std::vector<exec::ProcessorGroup> groups;
   if (plan.probe.placement == PipelinePlacement::kHeterogeneous) {
@@ -366,7 +409,7 @@ Status RunProbeGpu(const PhysicalPlan& plan,
         "all processor groups failed; " + std::to_string(rows - processed) +
         " tuples unprocessed");
   }
-  report->result = engine::QueryResult{total_rows.load(), total_sum.load()};
+  report->result = totals.Result();
   return Status::OK();
 }
 
@@ -383,10 +426,10 @@ std::size_t ShardOf(std::int64_t key, std::size_t shard_count) {
 /// join-free plans), partitions are exchanged all-to-all over the
 /// modelled mesh through the transfer layer — each one pulled in place
 /// to its destination device, chunk-wise with retry, nothing copied —
-/// and each shard probes its partition of the host columns in parallel.
-/// Tuple-at-a-time semantics are ProcessRange's and the aggregate is
-/// order-independent, so the result is bit-identical to the
-/// single-device plan. A shard whose device fails
+/// and each shard probes its partition of the host columns through the
+/// morsel driver. The shards run the same block loop as the CPU probe
+/// and the aggregate is order-independent, so the result is
+/// bit-identical to the single-device plan. A shard whose device fails
 /// its modelled allocation degrades alone — the other shards keep their
 /// placements (shard-by-shard fault ladder).
 Status RunProbeSharded(const PhysicalPlan& plan,
@@ -406,12 +449,8 @@ Status RunProbeSharded(const PhysicalPlan& plan,
 
   // Functional execution stays on host columns; the device side of the
   // plan (allocations, exchange transfers) is modelled, as everywhere.
-  auto source = [&fact](const std::string& name)
-      -> Result<const std::int64_t*> {
-    PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
-    return column->data();
-  };
-  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
+  PUMP_ASSIGN_OR_RETURN(BoundProbe bound,
+                        BindProbe(plan, tables, HostColumns(fact)));
 
   // Partition: shard `dst` owns tuple i when its first probe key hashes
   // to dst (a join-free plan owns contiguous row ranges instead, and
@@ -443,8 +482,6 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   // destination device through the transfer layer, chunk-wise with
   // retry. The shards probe the host columns in place, so the exchange
   // walks the partition's chunks and moves nothing.
-  const transfer::TransferFaultOptions fault_options{options.injector,
-                                                     options.retry};
   engine::PipelineOutcome exchange_row;
   exchange_row.name = "exchange";
   exchange_row.kind = "exchange";
@@ -470,15 +507,8 @@ Status RunProbeSharded(const PhysicalPlan& plan,
       PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "exchange.partition",
                       static_cast<double>(bytes),
                       static_cast<double>(devices[dst]));
-      PUMP_ASSIGN_OR_RETURN(
-          const transfer::TransferStats stats,
-          transfer::PullInPlace(bytes, devices[dst], options.chunk_bytes,
-                                fault_options));
-      report->transfer_retries += stats.retries;
-      report->faults_injected += stats.faults_injected;
-      report->modelled_backoff_s += stats.modelled_backoff_s;
-      exchange_row.retries += stats.retries;
-      exchange_row.faults_injected += stats.faults_injected;
+      PUMP_RETURN_NOT_OK(PullAndCharge(bytes, devices[dst], options,
+                                       &exchange_row, report));
       obs::MetricsRegistry::Instance()
           .GetCounter("plan.exchange.partitions")
           .Add();
@@ -539,13 +569,10 @@ Status RunProbeSharded(const PhysicalPlan& plan,
     shard_buffers.push_back(std::move(placement).value());
   }
 
-  // Probe the shards: each runs morsel-parallel over its own partition
+  // Probe the shards: each runs the morsel driver over its own partition
   // (a degraded shard runs the identical host loop, only its modelled
-  // placement changed). Workers poll the cancel token per morsel claim.
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
-  const std::size_t workers = std::max<std::size_t>(1, options.workers);
-  const CancelToken* cancel = options.cancel;
+  // placement changed).
+  ProbeTotals totals;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::vector<std::uint32_t>& indices = shard_indices[s];
     engine::PipelineOutcome shard_row;
@@ -565,33 +592,16 @@ Status RunProbeSharded(const PhysicalPlan& plan,
     PUMP_TRACE_SPAN(obs::TraceCategory::kExec, "shard.probe",
                     static_cast<double>(s),
                     static_cast<double>(indices.size()));
-    exec::WorkStealingDispatcher dispatcher(indices.size(),
-                                            options.morsel_tuples, workers);
-    exec::ParallelFor(workers, [&](std::size_t w) {
-      std::uint64_t shard_rows = 0;
-      std::int64_t shard_sum = 0;
-      std::uint64_t claimed = 0;
-      while (!(cancel != nullptr && cancel->Cancelled())) {
-        auto morsel = dispatcher.Next(w);
-        if (!morsel) break;
-        ++claimed;
-        Counters().morsel_tuples.Record(morsel->size());
-        ProcessIndices(bound, indices.data() + morsel->begin,
-                       morsel->size(), &shard_rows, &shard_sum);
-      }
-      Counters().morsels.Add(claimed);
-      total_rows.fetch_add(shard_rows, std::memory_order_relaxed);
-      total_sum.fetch_add(shard_sum, std::memory_order_relaxed);
-    });
+    DriveMorsels(bound, indices.data(), indices.size(), options, &totals);
     shard_row.measured_s = SecondsSince(shard_start);
     report->shards.push_back(std::move(shard_row));
-    if (cancel != nullptr && cancel->Cancelled()) {
-      return cancel->ToStatus();
+    if (options.cancel != nullptr && options.cancel->Cancelled()) {
+      return options.cancel->ToStatus();
     }
   }
   probe_row.retries = report->shards.front().retries;
   probe_row.faults_injected = report->shards.front().faults_injected;
-  report->result = engine::QueryResult{total_rows.load(), total_sum.load()};
+  report->result = totals.Result();
   return Status::OK();
 }
 
@@ -671,10 +681,10 @@ Result<engine::ExecReport> ExecutePlan(const PhysicalPlan& plan,
     }
     // Rung 3, scoped to this pipeline: re-place the probe on the CPU,
     // reusing every cached build instead of rebuilding. The summed fault
-    // totals reset with the fresh report — they describe the attempt
-    // that produced the result — but the per-pipeline rows carry the
-    // failed attempt's history so the report still explains what was
-    // tried.
+    // totals and the degradation reasons reset with the fresh report —
+    // they describe the attempt that produced the result — but the
+    // per-pipeline rows carry the failed attempt's history so the report
+    // still explains what was tried.
     PUMP_TRACE_INSTANT(obs::TraceCategory::kPlan, "plan.replace",
                        /*arg0=*/-1.0);
     Counters().replacements.Add();
@@ -693,19 +703,10 @@ Result<engine::ExecReport> ExecutePlan(const PhysicalPlan& plan,
         "probe pipeline failed on GPU (" + gpu_status.ToString() +
         "); fell back to CPU plan, reusing " +
         std::to_string(tables.size()) + " cached build pipelines";
-    const auto cpu_start = Clock::now();
-    {
-      PUMP_TRACE_SPAN(obs::TraceCategory::kPlan, "pipeline.probe",
-                      /*arg0=*/0.0,
-                      static_cast<double>(plan.shape.fact_rows));
-      PUMP_ASSIGN_OR_RETURN(report.result,
-                            RunProbeCpu(plan, options, tables));
-    }
-    ChargePipelineTime(&report.pipelines.back(), SecondsSince(cpu_start));
-    report.used_gpu = false;
-    return report;
+    reasons.clear();
   }
 
+  // The CPU probe: the planned placement, or rung 3's re-placement.
   const auto cpu_start = Clock::now();
   {
     PUMP_TRACE_SPAN(obs::TraceCategory::kPlan, "pipeline.probe",

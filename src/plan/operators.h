@@ -1,6 +1,7 @@
 #ifndef PUMP_PLAN_OPERATORS_H_
 #define PUMP_PLAN_OPERATORS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -29,11 +30,17 @@ class DimensionTable {
   /// chosen table cannot store (the linear-probing sentinel -1).
   static Result<DimensionTable> Build(const BuildPipeline& build);
 
-  /// True when `key` was inserted — the semi-join probe.
-  bool Contains(std::int64_t key) const {
-    std::int64_t ignored;
-    if (perfect_.has_value()) return perfect_->Lookup(key, &ignored);
-    return linear_->Lookup(key, &ignored);
+  /// The semi-join probe of `count` keys: sets `found[i]` when `keys[i]`
+  /// was inserted (and `values[i]` to its payload, 1) and returns the
+  /// match count. Forwards to the built table kind's ProbeBatch, which
+  /// dispatches between the AVX2 gather kernel and the interleaved
+  /// prefetch path (hash/hash_table.h).
+  std::size_t ProbeBatch(const std::int64_t* keys, std::size_t count,
+                         std::int64_t* values, bool* found) const {
+    if (perfect_.has_value()) {
+      return perfect_->ProbeBatch(keys, count, values, found);
+    }
+    return linear_->ProbeBatch(keys, count, values, found);
   }
 
   /// The table kind actually constructed.
@@ -67,11 +74,12 @@ struct BoundProbeStep {
 };
 
 /// The probe pipeline with every column resolved — no name lookups in
-/// the hot loop. Column pointers reference the fact table's own columns
+/// the probe loop. Column pointers reference the fact table's own columns
 /// under every placement: a GPU placement pulls them in place (the
 /// pull-based transfer methods read host memory where it lives) instead
-/// of copying them, and ProcessRange is identical for all placements,
-/// which is what makes them bit-compatible.
+/// of copying them, and every placement, the shards included, runs the
+/// same block loop (ProcessRange / ProcessIndices), which is what makes
+/// them bit-compatible.
 struct BoundProbe {
   const std::int64_t* measure = nullptr;
   std::vector<BoundFilter> filters;
@@ -97,19 +105,29 @@ Result<BoundProbe> BindProbe(
     const std::vector<std::shared_ptr<const DimensionTable>>& tables,
     const ColumnSource& source);
 
-/// Executes the bound pipeline over fact tuples [begin, end): filter
-/// operators in order with early exit, semi-join probes in order, then
-/// the aggregate. The aggregate (count + 64-bit sum) does not depend on
-/// the order tuples arrive in, so every placement, worker count and
-/// morsel split gives a bit-identical result.
+/// Tuples per block of the probe loop. A block's selection vector,
+/// gathered keys and probe outputs (about 25 KiB) stay cache-resident
+/// while the filters and probes narrow it, and each probe step hands
+/// the table one ProbeBatch call with up to this many keys.
+inline constexpr std::size_t kProbeBlockTuples = 1024;
+
+/// Executes the bound pipeline over fact tuples [begin, end), a block of
+/// kProbeBlockTuples tuples at a time: the filters narrow the block's
+/// selection vector in order, then each probe step gathers the
+/// survivors' keys and probes them with one DimensionTable::ProbeBatch,
+/// and the last survivors feed the aggregate. Adds the qualifying count
+/// to `*rows` and their measures to `*sum`; the sum wraps modulo 2^64,
+/// so it does not depend on the order tuples arrive in and every
+/// placement, worker count and morsel split gives a bit-identical
+/// result.
 void ProcessRange(const BoundProbe& bound, std::size_t begin,
                   std::size_t end, std::uint64_t* rows, std::int64_t* sum);
 
 /// Executes the bound pipeline over an explicit tuple index list — the
-/// shard-local probe of a hash-partitioned plan. Per-tuple semantics are
-/// exactly ProcessRange's, and the aggregate (count + 64-bit sum) is
-/// order-independent, so sharded execution stays bit-identical to the
-/// single-device plan.
+/// shard-local probe of a hash-partitioned plan. The same block loop as
+/// ProcessRange, which seeds each block's selection vector from
+/// `indices` instead of a row range, so sharded execution stays
+/// bit-identical to the single-device plan.
 void ProcessIndices(const BoundProbe& bound, const std::uint32_t* indices,
                     std::size_t count, std::uint64_t* rows,
                     std::int64_t* sum);

@@ -690,6 +690,46 @@ TEST(TransferTraceTest, ProbePullsAreChargedToThePlansDevice) {
   EXPECT_GT(begins, 0u);
 }
 
+// Every shard of a sharded probe runs the morsel driver, whose workers
+// record hash.probe spans under the dispatching thread's (query, shard)
+// context, so each shard's probe shows on the query's timeline.
+TEST(ShardTraceTest, EveryShardRecordsProbeSpansForItsQuery) {
+  const engine::SsbDatabase db = engine::SsbDatabase::Generate(4000, 7);
+  const std::vector<engine::NamedQuery> suite = engine::SsbSuite(db);
+  ASSERT_FALSE(suite.empty());
+  const hw::SystemProfile ring = hw::NvlinkRingProfile(4);
+  plan::CompileOptions compile_options;
+  compile_options.policy = plan::PlacementPolicy::kGpuPreferred;
+  compile_options.profile = &ring;
+  compile_options.shard_devices =
+      ring.topology.DevicesOfKind(hw::DeviceKind::kGpu);
+  Result<plan::PhysicalPlan> physical =
+      plan::Compile(suite.front().query, compile_options);  // ssb-q1
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  ASSERT_EQ(physical.value().shard.shard_count(), 4u);
+
+  constexpr std::uint64_t kQueryId = 77;
+  engine::ExecOptions options;
+  options.workers = 2;
+  options.query_id = kQueryId;
+  ScopedTracing tracing;
+  Result<engine::ExecReport> report =
+      plan::ExecutePlan(physical.value(), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  if (MacrosCompiledOut()) return;
+  std::vector<std::size_t> probe_spans(4, 0);
+  for (const obs::TraceEvent& probe :
+       EventsNamed(TraceRecorder::Instance().Snapshot(), "hash.probe")) {
+    if (probe.phase != 'B' || probe.query_id != kQueryId) continue;
+    ASSERT_GE(probe.shard, 0);
+    ASSERT_LT(probe.shard, 4);
+    ++probe_spans[static_cast<std::size_t>(probe.shard)];
+  }
+  for (std::size_t shard = 0; shard < probe_spans.size(); ++shard) {
+    EXPECT_GT(probe_spans[shard], 0u) << "shard " << shard;
+  }
+}
+
 // Satellite regression: a mid-query ladder re-placement must not erase
 // the per-pipeline outcome rows — the report still says which placement
 // was tried and which produced the result.

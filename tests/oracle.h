@@ -43,7 +43,8 @@ inline const std::vector<std::int64_t>& OracleColumn(
 }
 
 /// COUNT(*) and SUM(measure) over the fact rows that pass every filter
-/// and whose every join key is among the dimension's qualifying keys.
+/// and whose every join key is among the dimension's qualifying keys. The
+/// sum wraps modulo 2^64, as the engine's does.
 inline engine::QueryResult Oracle(const engine::Query& query) {
   const engine::Table& fact = *query.fact;
   std::vector<bool> keep(fact.rows(), true);
@@ -72,13 +73,16 @@ inline engine::QueryResult Oracle(const engine::Query& query) {
     }
   }
   engine::QueryResult result;
+  // Unsigned, so the sum wraps modulo 2^64 instead of overflowing.
+  std::uint64_t sum = 0;
   const auto& measure = OracleColumn(fact, query.measure_column);
   for (std::size_t row = 0; row < fact.rows(); ++row) {
     if (keep[row]) {
       ++result.rows;
-      result.sum += measure[row];
+      sum += static_cast<std::uint64_t>(measure[row]);
     }
   }
+  result.sum = static_cast<std::int64_t>(sum);
   return result;
 }
 

@@ -7,6 +7,7 @@
 // across the degradation ladder, and the JSON dump.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -25,6 +26,7 @@
 #include "plan/compiler.h"
 #include "plan/dump.h"
 #include "plan/executor.h"
+#include "plan/operators.h"
 #include "plan/plan.h"
 #include "plan/q6_bridge.h"
 
@@ -161,25 +163,36 @@ TEST_F(GoldenEquivalenceTest, SsbSuiteMatchesOracleAcrossWorkersAndFaults) {
 
 // ---------------------------------------------------------------------
 // Edge inputs: small hand-built one-join queries against the oracle,
-// under both the CPU and the GPU placement.
+// under the CPU, the GPU and a ring-4 sharded placement (whose shards
+// probe index lists).
 
-constexpr PlacementPolicy kEdgePolicies[] = {PlacementPolicy::kCpuOnly,
-                                             PlacementPolicy::kGpuPreferred};
+struct EdgePlacement {
+  const char* name;
+  PlacementPolicy policy;
+  bool sharded;
+};
 
-/// Fills `fact` (f_key, f_measure = 1, 2, 4, ...) and `dim` (d_key, plus
-/// d_flag when `dim_flags` is non-empty) and returns
+constexpr EdgePlacement kEdgePlacements[] = {
+    {"cpu", PlacementPolicy::kCpuOnly, false},
+    {"gpu", PlacementPolicy::kGpuPreferred, false},
+    {"ring-4", PlacementPolicy::kGpuPreferred, true},
+};
+
+/// Fills `fact` (f_key, f_measure = `measures`, or 1, 2, 4, ... when it is
+/// empty) and `dim` (d_key, plus d_flag when `dim_flags` is non-empty)
+/// and returns
 ///   SELECT SUM(f_measure) FROM fact JOIN dim ON f_key = d_key
 ///   [WHERE d_flag = 1].
 engine::Query OneJoinQuery(engine::Table* fact, engine::Table* dim,
                            const std::vector<std::int64_t>& fact_keys,
                            const std::vector<std::int64_t>& dim_keys,
-                           const std::vector<std::int64_t>& dim_flags) {
-  std::vector<std::int64_t> measure;
-  for (std::size_t i = 0; i < fact_keys.size(); ++i) {
-    measure.push_back(std::int64_t{1} << i);
+                           const std::vector<std::int64_t>& dim_flags,
+                           std::vector<std::int64_t> measures = {}) {
+  for (std::size_t i = measures.size(); i < fact_keys.size(); ++i) {
+    measures.push_back(std::int64_t{1} << i);
   }
   EXPECT_TRUE(fact->AddColumn("f_key", fact_keys).ok());
-  EXPECT_TRUE(fact->AddColumn("f_measure", measure).ok());
+  EXPECT_TRUE(fact->AddColumn("f_measure", measures).ok());
   EXPECT_TRUE(dim->AddColumn("d_key", dim_keys).ok());
   engine::JoinClause join;
   join.fact_key_column = "f_key";
@@ -197,59 +210,142 @@ engine::Query OneJoinQuery(engine::Table* fact, engine::Table* dim,
   return query;
 }
 
-/// Compiles `query` under `policy` and executes it with two workers.
-Result<engine::QueryResult> RunUnderPolicy(const engine::Query& query,
-                                           PlacementPolicy policy) {
+/// Compiles `query` under `placement` and executes it with two workers.
+/// Morsels (and the GPU group's slices) of one and a half probe blocks
+/// plus one tuple end in the middle of a block.
+Result<engine::QueryResult> RunEdge(const engine::Query& query,
+                                    const EdgePlacement& placement) {
+  static const hw::SystemProfile ring4 = hw::NvlinkRingProfile(4);
   CompileOptions compile_options;
-  compile_options.policy = policy;
+  compile_options.policy = placement.policy;
+  if (placement.sharded) {
+    compile_options.profile = &ring4;
+    compile_options.shard_devices =
+        ring4.topology.DevicesOfKind(hw::DeviceKind::kGpu);
+  }
   PUMP_ASSIGN_OR_RETURN(const PhysicalPlan plan,
                         Compile(query, compile_options));
+  if (plan.shard.active() != placement.sharded) {
+    return Status::Internal("unexpected shard layout");
+  }
   engine::ExecOptions options;
   options.workers = 2;
+  options.morsel_tuples = kProbeBlockTuples + kProbeBlockTuples / 2 + 1;
   PUMP_ASSIGN_OR_RETURN(const engine::ExecReport report,
                         ExecutePlan(plan, options));
   return report.result;
 }
 
 TEST(EdgeInputTest, HandBuiltQueriesMatchOracle) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   struct Case {
     const char* name;
     std::vector<std::int64_t> fact_keys;
     std::vector<std::int64_t> dim_keys;
     std::vector<std::int64_t> dim_flags;  // Empty = no dimension filter.
+    std::vector<std::int64_t> measures;   // Empty = 1, 2, 4, ...
   };
-  const Case cases[] = {
-      {"empty fact table", {}, {1, 2}, {}},
-      {"empty dimension", {1, 2, 3}, {}, {}},
-      {"filter keeps no dimension row", {0, 1, 2, 1}, {0, 1, 2}, {0, 0, 0}},
+  std::vector<Case> cases = {
+      {"empty fact table", {}, {1, 2}, {}, {}},
+      {"empty dimension", {1, 2, 3}, {}, {}, {}},
+      {"filter keeps no dimension row", {0, 1, 2, 1}, {0, 1, 2}, {0, 0, 0},
+       {}},
       {"duplicates only among filtered-out rows",
        {5, 6, 9, 6, 5},
        {5, 6, 6, 9, 9},
-       {1, 1, 0, 0, 0}},
-      {"negative keys other than -1", {-5, -2, 3, -7, -2}, {-5, -2, 3, 8}, {}},
+       {1, 1, 0, 0, 0},
+       {}},
+      {"negative keys other than -1",
+       {-5, -2, 3, -7, -2},
+       {-5, -2, 3, 8},
+       {},
+       {}},
+      {"sum wraps past INT64_MAX",
+       {0, 1, 2},
+       {0, 2},
+       {},
+       {kMax - 1, 5, kMax - 1}},
   };
+
+  // Block and morsel boundaries: fact sizes around the probe block width
+  // W against a dense (perfect) and a sparse (linear-probing) dimension.
+  // Every fifth fact key is an edge key: -1 (the linear-probing
+  // sentinel), -2 (a sparse-dimension key), the int64 extremes or one
+  // past the largest dimension key. The other fact keys are multiples of
+  // 4, which all hash to one shard of the ring-4 plan, so its index lists
+  // span blocks too.
+  constexpr std::size_t W = kProbeBlockTuples;
+  std::vector<std::int64_t> dense_keys;
+  std::vector<std::int64_t> sparse_keys = {-2};
+  for (std::int64_t k = 0; k < 256; ++k) {
+    dense_keys.push_back(k);
+    sparse_keys.push_back(8 * k);
+  }
+  for (const auto* dim_keys : {&dense_keys, &sparse_keys}) {
+    const std::int64_t edge_keys[] = {-1, -2, kMin, kMax,
+                                      dim_keys->back() + 1};
+    for (const std::size_t rows : {std::size_t{0}, std::size_t{1}, W - 1, W,
+                                   W + 1, 2 * W + 3}) {
+      Case c{dim_keys == &dense_keys ? "dense dimension" : "sparse dimension",
+             {}, *dim_keys, {}, {}};
+      for (std::size_t i = 0; i < rows; ++i) {
+        c.fact_keys.push_back(i % 5 == 1
+                                  ? edge_keys[(i / 5) % 5]
+                                  : 4 * static_cast<std::int64_t>(i % 100));
+        c.measures.push_back(static_cast<std::int64_t>(i) - 700);
+      }
+      cases.push_back(std::move(c));
+    }
+  }
+
   for (const Case& c : cases) {
     engine::Table fact;
     engine::Table dim;
-    const engine::Query query =
-        OneJoinQuery(&fact, &dim, c.fact_keys, c.dim_keys, c.dim_flags);
+    const engine::Query query = OneJoinQuery(&fact, &dim, c.fact_keys,
+                                             c.dim_keys, c.dim_flags,
+                                             c.measures);
     const engine::QueryResult expected = Oracle(query);
-    for (const PlacementPolicy policy : kEdgePolicies) {
-      SCOPED_TRACE(std::string(c.name) +
-                   (policy == PlacementPolicy::kCpuOnly ? " cpu" : " gpu"));
-      const auto got = RunUnderPolicy(query, policy);
+    for (const EdgePlacement& placement : kEdgePlacements) {
+      SCOPED_TRACE(std::string(c.name) + " rows=" +
+                   std::to_string(c.fact_keys.size()) + " " +
+                   placement.name);
+      const auto got = RunEdge(query, placement);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got.value(), expected);
     }
   }
 
-  // A key that qualifies twice has no semi-join answer: the build fails.
+  // The wrapped sum, computed in unsigned arithmetic (signed overflow is
+  // undefined, so the probe and the oracle both sum unsigned).
+  const auto wrapped = static_cast<std::int64_t>(
+      2 * static_cast<std::uint64_t>(kMax - 1));
   engine::Table fact;
   engine::Table dim;
+  EXPECT_EQ(Oracle(OneJoinQuery(&fact, &dim, {0, 1, 2}, {0, 2}, {},
+                                {kMax - 1, 5, kMax - 1})),
+            (engine::QueryResult{2, wrapped}));
+
+  // Both dimensions build the table kind they are meant to cover.
+  for (const auto& [dim_keys, kind] :
+       {std::pair{&dense_keys, HashTableKind::kPerfect},
+        std::pair{&sparse_keys, HashTableKind::kLinearProbing}}) {
+    engine::Table kind_fact;
+    engine::Table kind_dim;
+    const engine::Query query =
+        OneJoinQuery(&kind_fact, &kind_dim, {0}, *dim_keys, {});
+    const auto plan = Compile(query, CompileOptions{});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan.value().builds.front().table_kind, kind);
+  }
+
+  // A key that qualifies twice has no semi-join answer: the build fails.
+  engine::Table dup_fact;
+  engine::Table dup_dim;
   const engine::Query duplicate =
-      OneJoinQuery(&fact, &dim, {4, 5}, {4, 4, 5}, {});
-  for (const PlacementPolicy policy : kEdgePolicies) {
-    EXPECT_EQ(RunUnderPolicy(duplicate, policy).status().code(),
+      OneJoinQuery(&dup_fact, &dup_dim, {4, 5}, {4, 4, 5}, {});
+  for (const EdgePlacement& placement : kEdgePlacements) {
+    EXPECT_EQ(RunEdge(duplicate, placement).status().code(),
               StatusCode::kAlreadyExists);
   }
 }
@@ -264,8 +360,8 @@ TEST(EdgeInputTest, SentinelDimensionKeyFailsInsteadOfDroppingRows) {
   const engine::Query query =
       OneJoinQuery(&fact, &dim, {-1, 3, -1, 7}, {-1, 3}, {});
   EXPECT_EQ(Oracle(query), (engine::QueryResult{3, 1 + 2 + 4}));
-  for (const PlacementPolicy policy : kEdgePolicies) {
-    EXPECT_EQ(RunUnderPolicy(query, policy).status().code(),
+  for (const EdgePlacement& placement : kEdgePlacements) {
+    EXPECT_EQ(RunEdge(query, placement).status().code(),
               StatusCode::kInvalidArgument);
   }
 
@@ -275,8 +371,8 @@ TEST(EdgeInputTest, SentinelDimensionKeyFailsInsteadOfDroppingRows) {
   engine::Table filtered_dim;
   const engine::Query filtered = OneJoinQuery(
       &filtered_fact, &filtered_dim, {-1, 3, -1, 7}, {-1, 3}, {0, 1});
-  for (const PlacementPolicy policy : kEdgePolicies) {
-    const auto got = RunUnderPolicy(filtered, policy);
+  for (const EdgePlacement& placement : kEdgePlacements) {
+    const auto got = RunEdge(filtered, placement);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(got.value(), Oracle(filtered));
   }

@@ -190,7 +190,10 @@ TEST(BuildCacheEvictionTest, ConcurrentInsertsStayWithinCapacity) {
   for (int t = 0; t < kTables; ++t) {
     ASSERT_TRUE(results[t].ok()) << results[t].status();
     // Evicted or resident, the handle keeps the table alive and usable.
-    EXPECT_TRUE(results[t].value()->Contains(t * 10));
+    const std::int64_t key = t * 10;
+    std::int64_t value = 0;
+    bool found = false;
+    EXPECT_EQ(results[t].value()->ProbeBatch(&key, 1, &value, &found), 1u);
   }
   const plan::BuildCache::Stats stats = cache.stats();
   EXPECT_LE(stats.resident_bytes, cache.capacity_bytes());
