@@ -1,27 +1,15 @@
-// Morsel-dispatch microbenchmarks: dispatcher claim throughput and the
-// GPU batch-size ablation of Sec. 6.1 (batching amortizes dispatch
-// latency; the paper tunes the batch size empirically).
+// Morsel-dispatch microbenchmark: the GPU batch-size ablation of
+// Sec. 6.1 (batching amortizes dispatch latency; the paper tunes the
+// batch size empirically). Claim throughput is micro_parallel's
+// morsel_claiming_ms.
 
 #include <atomic>
 
 #include "benchmark/benchmark.h"
 #include "exec/het_scheduler.h"
-#include "exec/morsel.h"
 
 namespace pump {
 namespace {
-
-void BM_DispatcherClaim(benchmark::State& state) {
-  constexpr std::size_t kTotal = 10'000'000;
-  for (auto _ : state) {
-    exec::MorselDispatcher dispatcher(kTotal, 1000);
-    std::size_t claims = 0;
-    while (dispatcher.Next()) ++claims;
-    benchmark::DoNotOptimize(claims);
-  }
-  state.SetItemsProcessed(state.iterations() * (kTotal / 1000));
-}
-BENCHMARK(BM_DispatcherClaim);
 
 void BM_BatchSizeAblation(benchmark::State& state) {
   // Emulate a fixed per-dispatch latency (kernel launch) plus linear work:

@@ -1,7 +1,7 @@
 // Execution-runtime microbenches: (1) spawn-per-call vs persistent
-// fork-join dispatch latency, (2) flat global morsel claiming vs
-// hierarchical claiming with work-stealing. The hash probe kernels are
-// timed by micro_hashtable's ht_probe_* records.
+// fork-join dispatch latency, (2) morsel claiming from the central
+// MorselDispatcher under 1..N workers. The hash probe kernels are timed
+// by micro_hashtable's ht_probe_* records.
 //
 // Hand-rolled harness (no google-benchmark): the fork-join experiment
 // times the dispatch primitive itself, and every experiment emits
@@ -25,7 +25,6 @@
 #include "exec/executor.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
-#include "exec/work_stealing.h"
 
 namespace pump {
 namespace {
@@ -113,9 +112,10 @@ void BenchForkJoin(bench::JsonWriter* json, bool quick) {
   json->Record("fork_join_dispatch_speedup", config, speedup, 0.0, runs);
 }
 
-/// Experiment 2: global flat claiming vs hierarchical chunked claiming
-/// with stealing, under 1..N workers. Small morsels and near-trivial
-/// per-tuple work put the dispatch path itself on the critical path.
+/// Experiment 2: morsel claiming from the central MorselDispatcher (one
+/// shared cursor, every morsel a CAS claim) under 1..N workers. Small
+/// morsels and near-trivial per-tuple work put the claim path itself on
+/// the critical path.
 void BenchClaiming(bench::JsonWriter* json, bool quick) {
   const std::size_t total = quick ? (1u << 18) : (1u << 22);
   const std::size_t morsel = 256;
@@ -123,13 +123,10 @@ void BenchClaiming(bench::JsonWriter* json, bool quick) {
       std::max<std::size_t>(2, exec::DefaultWorkerCount());
   const int runs = quick ? 3 : bench::kPaperRuns;
 
-  bench::PrintBanner(
-      std::cout, "micro_parallel/morsel_claiming",
-      "Time (ms) to drain " + std::to_string(total) + " tuples in " +
-          std::to_string(morsel) +
-          "-tuple morsels: every-morsel global fetch_add vs chunked "
-          "claiming + stealing (" +
-          std::to_string(exec::kDefaultChunkMorsels) + " morsels/chunk)");
+  bench::PrintBanner(std::cout, "micro_parallel/morsel_claiming",
+                     "Time (ms) to drain " + std::to_string(total) +
+                         " tuples in " + std::to_string(morsel) +
+                         "-tuple morsels from one global dispatcher");
 
   for (std::size_t workers = 1; workers <= max_workers; ++workers) {
     std::atomic<std::uint64_t> sink{0};
@@ -143,24 +140,11 @@ void BenchClaiming(bench::JsonWriter* json, bool quick) {
       });
       return SecondsSince(start) * 1e3;
     });
-    const RunningStats hierarchical = bench::Repeat(runs, [&] {
-      exec::WorkStealingDispatcher dispatcher(total, morsel, workers);
-      const auto start = Clock::now();
-      exec::ParallelFor(workers, [&](std::size_t w) {
-        std::uint64_t local = 0;
-        while (auto m = dispatcher.Next(w)) local += m->end - m->begin;
-        sink.fetch_add(local, std::memory_order_relaxed);
-      });
-      return SecondsSince(start) * 1e3;
-    });
     const std::string config = "workers=" + std::to_string(workers);
     std::cout << "  " << config
               << "  global: " << bench::FormatMeanError(global, 3)
-              << " ms  hierarchical: "
-              << bench::FormatMeanError(hierarchical, 3) << " ms\n";
+              << " ms\n";
     json->Record("morsel_claiming_ms", "global " + config, global);
-    json->Record("morsel_claiming_ms", "hierarchical " + config,
-                 hierarchical);
   }
 }
 

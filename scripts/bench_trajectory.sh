@@ -5,6 +5,7 @@
 #
 #   micro_parallel  — hand-rolled harness, emits records via --json:
 #                     fork-join dispatch latency and morsel claiming
+#                     from the central MorselDispatcher at 1..N workers
 #   micro_engine    — hand-rolled harness: plan-IR latency per SSB query
 #                     and Q6 with the trace recorder off and on, plus
 #                     compile time and the enabled-tracing overhead
@@ -13,9 +14,10 @@
 #                     one benchmark of the ProbeBatch kernels
 #   micro_join      — records section only (--records-only): direct
 #                     scatter vs software write-combining partition pass
-#   micro_morsel    — google-benchmark, emits benchmark_out JSON that is
-#                     converted to the same {experiment, config, mean,
-#                     stderr, runs} record shape
+#   micro_morsel    — google-benchmark GPU batch-size ablation, emits
+#                     benchmark_out JSON that is converted to the same
+#                     {experiment, config, mean, stderr, runs} record
+#                     shape
 #   servebench      — serving-layer closed-loop driver: qps, p50/p99
 #                     latency, cache hit rate, shed/cancel/deadline
 #                     counters

@@ -188,7 +188,6 @@ MIGRATED_FILES=(
   src/common/cancel.h
   src/server/query_engine.h src/server/query_engine.cc
   src/exec/morsel.h
-  src/exec/work_stealing.h
   src/obs/trace.h src/obs/trace.cc
 )
 if grep -nE 'std::(mutex|condition_variable|atomic|thread)\b' \
@@ -343,7 +342,7 @@ assert not unbalanced, f"unbalanced B/E per thread: {unbalanced}"
 with open(sys.argv[3]) as f:
     metrics = json.load(f)
 counters = metrics["counters"]
-for family in ("exec.tasks_run", "exec.ws.chunk_claims", "fault.checks",
+for family in ("exec.tasks_run", "exec.dispatches", "fault.checks",
                "transfer.chunks", "plan.queries", "plan.morsels"):
     assert family in counters, f"metrics snapshot missing {family}"
 assert counters["plan.queries"] >= 1, counters["plan.queries"]
@@ -374,7 +373,7 @@ with open(sys.argv[1]) as f:
     summary = json.load(f)
 assert summary["trace_threads"] >= 2, (
     f"CPU probe traced {summary['trace_threads']} thread(s); the "
-    "work-stealing workers should record into their own rings")
+    "morsel workers should record into their own rings")
 assert summary["span_coverage"] >= 0.95, summary
 print(f"{summary['trace_threads']} threads traced, "
       f"coverage {summary['span_coverage']:.4f}")

@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "exec/parallel.h"
 #include "obs/metrics.h"
@@ -168,20 +167,6 @@ void Executor::Run(std::size_t workers,
     first_exception_ = nullptr;
   }
   if (error) std::rethrow_exception(error);
-}
-
-Status Executor::RunStatus(std::size_t workers,
-                           const std::function<Status(std::size_t)>& fn) {
-  std::mutex status_mutex;
-  Status first_error;
-  Run(workers, [&](std::size_t id) {
-    Status status = fn(id);
-    if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(status_mutex);
-      if (first_error.ok()) first_error = std::move(status);
-    }
-  });
-  return first_error;
 }
 
 std::vector<WorkerStats> Executor::Stats() const {

@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/status.h"
-
 namespace pump::exec {
 
 /// Per-pool-thread counters, exposed for the micro benches: how many
@@ -41,7 +39,10 @@ struct WorkerStats {
 /// exceeds the pool size, pool threads execute multiple slots; slots never
 /// run twice. Nested Run calls (from inside a slot) degrade to inline
 /// sequential execution, and concurrent Run calls from distinct external
-/// threads are serialized — the pool is one process-wide resource.
+/// threads are serialized — the pool is one process-wide resource. A slot
+/// is a worker, not a unit of work: every morsel loop hands each slot a
+/// loop that claims morsels from one shared MorselDispatcher until it
+/// runs dry.
 class Executor {
  public:
   /// Spawns `threads` parked worker threads (at least 1).
@@ -56,12 +57,6 @@ class Executor {
   /// by any slot is rethrown here (first one wins; the remaining slots
   /// still run to completion so the barrier stays intact).
   void Run(std::size_t workers, const std::function<void(std::size_t)>& fn);
-
-  /// Run variant for Status-returning slot bodies: returns the first
-  /// non-OK Status (every slot still runs; morsel loops should check a
-  /// shared failed flag to cut work short, as BuildPhase does).
-  Status RunStatus(std::size_t workers,
-                   const std::function<Status(std::size_t)>& fn);
 
   /// Number of pool threads.
   std::size_t thread_count() const { return threads_.size(); }
@@ -95,7 +90,7 @@ class Executor {
   // Dispatch state, all guarded by mutex_. Claiming a slot takes the
   // mutex: dispatches hand out at most `workers` coarse slots, so the
   // claim rate is tiny next to the per-morsel work inside a slot (the
-  // fine-grained claiming lives in MorselDispatcher/WorkStealingDispatcher).
+  // fine-grained claiming lives in MorselDispatcher).
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

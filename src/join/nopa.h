@@ -10,7 +10,6 @@
 #include "data/relation.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
-#include "exec/work_stealing.h"
 #include "hash/hash_table.h"
 
 namespace pump::join {
@@ -35,14 +34,13 @@ template <typename Table, typename K, typename V>
 Status BuildPhase(Table* table, const data::Relation<K, V>& inner,
                   std::size_t workers,
                   std::size_t morsel_tuples = exec::kDefaultMorselTuples) {
-  exec::WorkStealingDispatcher dispatcher(inner.size(), morsel_tuples,
-                                          workers);
+  exec::MorselDispatcher dispatcher(inner.size(), morsel_tuples);
   std::atomic<bool> failed{false};
   Status first_error;  // Written by at most one worker (guarded by CAS).
   std::atomic<bool> error_claimed{false};
 
-  exec::ParallelFor(workers, [&](std::size_t w) {
-    while (auto morsel = dispatcher.Next(w)) {
+  exec::ParallelFor(workers, [&](std::size_t) {
+    while (auto morsel = dispatcher.Next()) {
       if (failed.load(std::memory_order_relaxed)) return;
       for (std::size_t i = morsel->begin; i < morsel->end; ++i) {
         Status status = table->Insert(inner.keys[i], inner.payloads[i]);
@@ -104,15 +102,14 @@ JoinAggregate ProbePhase(const Table& table,
                          std::size_t workers,
                          std::size_t morsel_tuples =
                              exec::kDefaultMorselTuples) {
-  exec::WorkStealingDispatcher dispatcher(outer.size(), morsel_tuples,
-                                          workers);
+  exec::MorselDispatcher dispatcher(outer.size(), morsel_tuples);
   std::atomic<std::uint64_t> total_matches{0};
   std::atomic<std::uint64_t> total_sum{0};
 
-  exec::ParallelFor(workers, [&](std::size_t w) {
+  exec::ParallelFor(workers, [&](std::size_t) {
     std::uint64_t matches = 0;
     std::uint64_t sum = 0;
-    while (auto morsel = dispatcher.Next(w)) {
+    while (auto morsel = dispatcher.Next()) {
       ProbeRange<Table, K, V>(table, outer.keys.data(), morsel->begin,
                               morsel->end, &matches, &sum);
     }
@@ -135,19 +132,18 @@ struct JoinedTuple {
 /// Morsel-parallel probe that materializes the joined tuples instead of
 /// aggregating (the other emit strategy of Sec. 5.1). Workers append to
 /// private buffers that are concatenated afterwards; the output multiset
-/// is exact but its order depends on the work-stealing schedule.
+/// is exact but its order depends on which worker claimed which morsel.
 template <typename Table, typename K, typename V>
 std::vector<JoinedTuple<K, V>> ProbeMaterialize(
     const Table& table, const data::Relation<K, V>& outer,
     std::size_t workers,
     std::size_t morsel_tuples = exec::kDefaultMorselTuples) {
   workers = std::max<std::size_t>(1, workers);
-  exec::WorkStealingDispatcher dispatcher(outer.size(), morsel_tuples,
-                                          workers);
+  exec::MorselDispatcher dispatcher(outer.size(), morsel_tuples);
   std::vector<std::vector<JoinedTuple<K, V>>> partial(workers);
   exec::ParallelFor(workers, [&](std::size_t w) {
     auto& out = partial[w];
-    while (auto morsel = dispatcher.Next(w)) {
+    while (auto morsel = dispatcher.Next()) {
       for (std::size_t i = morsel->begin; i < morsel->end; ++i) {
         V payload;
         if (table.Lookup(outer.keys[i], &payload)) {

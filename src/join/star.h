@@ -11,7 +11,6 @@
 #include "data/star.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
-#include "exec/work_stealing.h"
 #include "hash/hash_table.h"
 #include "join/nopa.h"
 
@@ -70,13 +69,13 @@ class StarJoin {
   /// dimensions match (inner join semantics).
   StarAggregate Probe(const data::StarSchema& schema,
                       std::size_t workers = 1) const {
-    exec::WorkStealingDispatcher dispatcher(
-        schema.fact_rows(), exec::kDefaultMorselTuples, workers);
+    exec::MorselDispatcher dispatcher(schema.fact_rows(),
+                                      exec::kDefaultMorselTuples);
     std::atomic<std::uint64_t> matches{0};
     std::atomic<std::uint64_t> checksum{0};
-    exec::ParallelFor(workers, [&](std::size_t w) {
+    exec::ParallelFor(workers, [&](std::size_t) {
       std::uint64_t local_matches = 0, local_checksum = 0;
-      while (auto morsel = dispatcher.Next(w)) {
+      while (auto morsel = dispatcher.Next()) {
         ProbeMorsel(schema, morsel->begin, morsel->end, &local_matches,
                     &local_checksum);
       }

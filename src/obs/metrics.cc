@@ -93,8 +93,6 @@ void EnsureCoreMetrics() {
       // exec::Executor (persistent fork-join pool).
       "exec.dispatches", "exec.tasks_run", "exec.steals", "exec.parks",
       "exec.unparks",
-      // exec::WorkStealingDispatcher (hierarchical morsel claiming).
-      "exec.ws.chunk_claims", "exec.ws.steals", "exec.ws.drains",
       // exec::RunHeterogeneous (CPU+GPU group scheduler).
       "exec.het.batches", "exec.het.orphaned_batches",
       "exec.het.failover_batches", "exec.het.group_stalls",

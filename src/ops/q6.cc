@@ -4,7 +4,6 @@
 
 #include "exec/morsel.h"
 #include "exec/parallel.h"
-#include "exec/work_stealing.h"
 
 namespace pump::ops {
 
@@ -54,13 +53,13 @@ Q6Result PredicatedRange(const data::LineitemQ6& table, std::size_t begin,
 template <typename RangeFn>
 Q6Result RunParallel(const data::LineitemQ6& table, std::size_t workers,
                      RangeFn range_fn) {
-  exec::WorkStealingDispatcher dispatcher(
-      table.size(), exec::kDefaultMorselTuples, workers);
+  exec::MorselDispatcher dispatcher(table.size(),
+                                    exec::kDefaultMorselTuples);
   std::atomic<std::int64_t> revenue{0};
   std::atomic<std::uint64_t> rows{0};
-  exec::ParallelFor(workers, [&](std::size_t w) {
+  exec::ParallelFor(workers, [&](std::size_t) {
     Q6Result local;
-    while (auto morsel = dispatcher.Next(w)) {
+    while (auto morsel = dispatcher.Next()) {
       const Q6Result part = range_fn(table, morsel->begin, morsel->end);
       local.revenue += part.revenue;
       local.qualifying_rows += part.qualifying_rows;

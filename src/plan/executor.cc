@@ -13,7 +13,6 @@
 #include "exec/het_scheduler.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
-#include "exec/work_stealing.h"
 #include "fault/fault_injector.h"
 #include "hw/system_profile.h"
 #include "hw/topology.h"
@@ -106,6 +105,29 @@ void FinishReasons(const std::vector<std::string>& reasons,
 
 using TableHandles = std::vector<std::shared_ptr<const DimensionTable>>;
 
+/// Models one device placement of `bytes` on `device`, for a build
+/// fragment or a probe shard: probes the plan.pipeline failpoint tagged
+/// `site`, allocates through AllocateHybrid (which spills to CPU memory
+/// on an injected device OOM) and lowers the report's hybrid GPU
+/// fraction to the placement's. The buffer joins `placements`, so later
+/// placements of the same query see the device memory it holds.
+Status PlaceOnDevice(memory::MemoryManager* manager, std::uint64_t bytes,
+                     hw::DeviceId device, const char* site,
+                     const engine::ExecOptions& options,
+                     engine::ExecReport* report,
+                     std::vector<memory::Buffer>* placements) {
+  if (options.injector != nullptr) {
+    PUMP_RETURN_NOT_OK(options.injector->Check(fault::kPlanPipeline, site));
+  }
+  PUMP_ASSIGN_OR_RETURN(
+      memory::Buffer placement,
+      manager->AllocateHybrid(bytes, device, 0, options.injector));
+  report->hybrid_gpu_fraction = std::min(report->hybrid_gpu_fraction,
+                                         placement.FractionOnNode(device));
+  placements->push_back(std::move(placement));
+  return Status::OK();
+}
+
 /// Build stage: every build pipeline runs exactly once per query and its
 /// table is cached for all later rungs of the ladder. With a process-wide
 /// BuildCache in the options, builds are further deduplicated *across*
@@ -181,22 +203,9 @@ Result<TableHandles> RunBuildPipelines(
         16, build.table_bytes / devices.size());
     Status failed = Status::OK();
     for (const hw::DeviceId device : devices) {
-      Status admitted = Status::OK();
-      if (options.injector != nullptr) {
-        admitted = options.injector->Check(fault::kPlanPipeline, "build");
-      }
-      Result<memory::Buffer> placement =
-          admitted.ok() ? manager.AllocateHybrid(fragment_bytes, device, 0,
-                                                 options.injector)
-                        : Result<memory::Buffer>(admitted);
-      if (!placement.ok()) {
-        failed = placement.status();
-        break;
-      }
-      report->hybrid_gpu_fraction =
-          std::min(report->hybrid_gpu_fraction,
-                   placement.value().FractionOnNode(device));
-      placements.push_back(std::move(placement).value());
+      failed = PlaceOnDevice(&manager, fragment_bytes, device, "build",
+                             options, report, &placements);
+      if (!failed.ok()) break;
     }
     report->pipelines[i].measured_s += SecondsSince(start);
     if (!failed.ok()) {
@@ -211,7 +220,6 @@ Result<TableHandles> RunBuildPipelines(
       reasons->push_back("build pipeline '" + build.key_column +
                          "' lost its GPU placement (" + failed.ToString() +
                          "); re-placed on CPU");
-      continue;
     }
   }
   if (!plan.builds.empty() && report->hybrid_gpu_fraction < 1.0) {
@@ -266,8 +274,8 @@ struct ProbeTotals {
 };
 
 /// The morsel driver of the CPU probe and of every shard's probe:
-/// `options.workers` workers claim morsels of `tuples` tuples from a
-/// work-stealing dispatcher and run the probe loop on each — over rows
+/// `options.workers` workers claim morsels of `tuples` tuples from the
+/// central MorselDispatcher and run the probe loop on each — over rows
 /// [begin, end), or over `indices[begin, end)` when `indices` is set.
 /// Workers poll the cancel token before every claim, so a cancelled
 /// query stops within one morsel per worker; the caller checks the token
@@ -277,9 +285,9 @@ void DriveMorsels(const BoundProbe& bound, const std::uint32_t* indices,
                   ProbeTotals* totals) {
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
   const CancelToken* cancel = options.cancel;
-  exec::WorkStealingDispatcher dispatcher(tuples, options.morsel_tuples,
-                                          workers);
-  exec::ParallelFor(workers, [&](std::size_t w) {
+  exec::MorselDispatcher dispatcher(tuples, options.morsel_tuples);
+  // The worker id only tags the span (compiled out without tracing).
+  exec::ParallelFor(workers, [&]([[maybe_unused]] std::size_t w) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.probe",
                     static_cast<double>(w),
                     static_cast<double>(bound.probes.size()));
@@ -290,7 +298,7 @@ void DriveMorsels(const BoundProbe& bound, const std::uint32_t* indices,
     // exits without touching the dispatcher, so an already-expired query
     // claims zero morsels and a mid-flight one at most one per worker.
     while (!(cancel != nullptr && cancel->Cancelled())) {
-      auto morsel = dispatcher.Next(w);
+      auto morsel = dispatcher.Next();
       if (!morsel) break;
       PUMP_TRACE_SPAN(obs::TraceCategory::kExec, "morsel",
                       static_cast<double>(morsel->begin),
@@ -543,15 +551,10 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::uint64_t shard_bytes = std::max<std::uint64_t>(
         16, shard_indices[s].size() * tuple_bytes);
-    Status admitted = Status::OK();
-    if (options.injector != nullptr) {
-      admitted = options.injector->Check(fault::kPlanPipeline, "shard");
-    }
-    Result<memory::Buffer> placement =
-        admitted.ok() ? manager.AllocateHybrid(shard_bytes, devices[s], 0,
-                                               options.injector)
-                      : Result<memory::Buffer>(admitted);
-    if (!placement.ok()) {
+    const Status placed = PlaceOnDevice(&manager, shard_bytes, devices[s],
+                                        "shard", options, report,
+                                        &shard_buffers);
+    if (!placed.ok()) {
       shard_degraded[s] = true;
       ++report->shards_replaced;
       Counters().replacements.Add();
@@ -559,14 +562,9 @@ Status RunProbeSharded(const PhysicalPlan& plan,
                          static_cast<double>(devices[s]));
       reasons->push_back("shard " + std::to_string(s) + " lost device " +
                          std::to_string(devices[s]) + " (" +
-                         placement.status().ToString() +
+                         placed.ToString() +
                          "); re-placed on CPU, other shards unaffected");
-      continue;
     }
-    report->hybrid_gpu_fraction =
-        std::min(report->hybrid_gpu_fraction,
-                 placement.value().FractionOnNode(devices[s]));
-    shard_buffers.push_back(std::move(placement).value());
   }
 
   // Probe the shards: each runs the morsel driver over its own partition

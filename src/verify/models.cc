@@ -15,7 +15,6 @@
 #include "engine/query.h"
 #include "engine/table.h"
 #include "exec/morsel.h"
-#include "exec/work_stealing.h"
 #include "obs/trace.h"
 #include "plan/build_cache.h"
 #include "plan/compiler.h"
@@ -218,15 +217,19 @@ void CancelLatchModel() {
 
 // ---------------------------------------------------------------------
 // exec::MorselDispatcher — exactly-once coverage: two claimants drain
-// the cursor; every tuple is handed out exactly once, never past total.
+// the cursor, one in GPU batches of two morsels (NextBatch) and one in
+// single CPU morsels (Next), the mix RunHeterogeneous's groups produce;
+// every tuple is handed out exactly once, never past total.
 
 void MorselCoverageModel() {
   constexpr std::size_t kTotal = 10;
   constexpr std::size_t kMorsel = 3;
   exec::MorselDispatcher dispatcher(kTotal, kMorsel);
   std::vector<int> cover(kTotal, 0);
-  auto drain = [&] {
-    while (auto morsel = dispatcher.Next()) {
+  auto drain = [&](std::size_t batch_morsels) {
+    while (auto morsel = batch_morsels > 1
+                             ? dispatcher.NextBatch(batch_morsels)
+                             : dispatcher.Next()) {
       VERIFY_INVARIANT(morsel->begin < morsel->end,
                        "dispatcher handed out an empty morsel");
       VERIFY_INVARIANT(morsel->end <= kTotal,
@@ -237,47 +240,15 @@ void MorselCoverageModel() {
       for (std::size_t i = morsel->begin; i < morsel->end; ++i) ++cover[i];
     }
   };
-  Thread worker(drain);
-  drain();
-  worker.join();
+  Thread gpu([&] { drain(2); });
+  drain(1);
+  gpu.join();
   for (std::size_t i = 0; i < kTotal; ++i) {
     VERIFY_INVARIANT(cover[i] == 1,
                      "morsel coverage is not exactly-once");
   }
   VERIFY_INVARIANT(dispatcher.dispatched() == kTotal,
                    "dispatched count diverged from the input size");
-}
-
-// exec::WorkStealingDispatcher — hierarchical claiming with steals keeps
-// the exactly-once guarantee, including the clamped tail chunk. This is
-// also the regression model of the steal-scan memory-order audit in
-// work_stealing.h (a thief entering via a victim's published chunk slot).
-
-void WorkStealingCoverageModel() {
-  constexpr std::size_t kTotal = 10;
-  // morsel=2, chunk=2 morsels => chunks {0..3} {4..7} {8..9}: the tail
-  // chunk is the clamp case the exec.ws.tail_overrun mutant breaks.
-  exec::WorkStealingDispatcher dispatcher(kTotal, /*morsel_tuples=*/2,
-                                          /*workers=*/2,
-                                          /*chunk_morsels=*/2);
-  std::vector<int> cover(kTotal, 0);
-  auto drain = [&](std::size_t worker) {
-    while (auto morsel = dispatcher.Next(worker)) {
-      VERIFY_INVARIANT(morsel->begin < morsel->end,
-                       "dispatcher handed out an empty morsel");
-      VERIFY_INVARIANT(morsel->end <= kTotal,
-                       "hierarchical claim overran the input (tail chunk "
-                       "not clamped)");
-      for (std::size_t i = morsel->begin; i < morsel->end; ++i) ++cover[i];
-    }
-  };
-  Thread thief([&] { drain(1); });
-  drain(0);
-  thief.join();
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    VERIFY_INVARIANT(cover[i] == 1,
-                     "work-stealing coverage is not exactly-once");
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -446,7 +417,6 @@ const std::vector<Model>& Models() {
       {"plan.cache.eviction", BuildCacheEvictionModel, 1'500, 200},
       {"common.cancel.latch", CancelLatchModel, 800, 100},
       {"exec.morsel.coverage", MorselCoverageModel, 1'200, 200},
-      {"exec.ws.coverage", WorkStealingCoverageModel, 2'000, 300},
       {"server.engine.admission", QueryEngineAdmissionModel, 2'500, 400},
       {"server.engine.budget", QueryEngineBudgetModel, 2'000, 300},
       {"server.handle.resolve", QueryHandleResolveModel, 1'500, 300},
@@ -461,7 +431,6 @@ const std::vector<Mutant>& Mutants() {
       {"plan.cache.drop_failed_result", "plan.cache.failure_propagation"},
       {"common.cancel.latch_blind_store", "common.cancel.latch"},
       {"exec.morsel.unsaturated_claim", "exec.morsel.coverage"},
-      {"exec.ws.tail_overrun", "exec.ws.coverage"},
       {"server.handle.notify_before_done", "server.handle.resolve"},
       {"server.budget.leak_on_release", "server.engine.budget"},
       {"obs.trace.count_before_slot", "obs.trace.ring"},

@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -6,11 +5,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/status.h"
 #include "exec/executor.h"
 #include "exec/morsel.h"
 #include "exec/parallel.h"
-#include "exec/work_stealing.h"
 #include "gtest/gtest.h"
 
 namespace pump::exec {
@@ -130,20 +127,6 @@ TEST(ExecutorTest, CallerSlotExceptionPropagates) {
                std::runtime_error);
 }
 
-TEST(ExecutorTest, RunStatusPropagatesFirstError) {
-  Executor executor(2);
-  const Status status = executor.RunStatus(6, [](std::size_t id) {
-    if (id == 2) return Status::InvalidArgument("bad slot");
-    return Status::OK();
-  });
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-
-  EXPECT_TRUE(executor.RunStatus(6, [](std::size_t) {
-    return Status::OK();
-  }).ok());
-}
-
 TEST(ExecutorTest, NestedRunExecutesInline) {
   Executor executor(2);
   std::atomic<int> inner_runs{0};
@@ -160,87 +143,6 @@ TEST(ExecutorTest, DefaultIsProcessWideSingleton) {
   EXPECT_EQ(Executor::Default().thread_count(), DefaultWorkerCount());
 }
 
-TEST(WorkStealingDispatcherTest, CoversInputExactlyOnceSequential) {
-  WorkStealingDispatcher dispatcher(10000, 64, 4);
-  std::vector<int> touched(10000, 0);
-  while (auto morsel = dispatcher.Next(0)) {
-    for (std::size_t i = morsel->begin; i < morsel->end; ++i) ++touched[i];
-  }
-  EXPECT_EQ(std::accumulate(touched.begin(), touched.end(), 0), 10000);
-  EXPECT_EQ(*std::max_element(touched.begin(), touched.end()), 1);
-}
-
-TEST(WorkStealingDispatcherTest, CoversInputExactlyOnceConcurrent) {
-  constexpr std::size_t kTotal = 100000;
-  WorkStealingDispatcher dispatcher(kTotal, 97, 8);
-  std::vector<std::atomic<int>> touched(kTotal);
-  ParallelFor(8, [&](std::size_t w) {
-    while (auto morsel = dispatcher.Next(w)) {
-      for (std::size_t i = morsel->begin; i < morsel->end; ++i) {
-        touched[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(touched[i].load(), 1) << i;
-  }
-}
-
-TEST(WorkStealingDispatcherTest, TailMorselIsShort) {
-  // 2 chunks of 2 morsels x 64; the last morsel covers the 36-tuple tail.
-  WorkStealingDispatcher dispatcher(100 + 128, 64, 1, 2);
-  std::size_t total = 0;
-  std::size_t smallest = 64;
-  while (auto morsel = dispatcher.Next(0)) {
-    total += morsel->size();
-    smallest = std::min(smallest, morsel->size());
-  }
-  EXPECT_EQ(total, 228u);
-  EXPECT_EQ(smallest, 36u);
-}
-
-TEST(WorkStealingDispatcherTest, EmptyInput) {
-  WorkStealingDispatcher dispatcher(0, 64, 4);
-  EXPECT_FALSE(dispatcher.Next(0).has_value());
-  EXPECT_FALSE(dispatcher.Next(3).has_value());
-}
-
-TEST(WorkStealingDispatcherTest, ZeroMorselAndChunkClamped) {
-  WorkStealingDispatcher dispatcher(5, 0, 2, 0);
-  std::size_t claims = 0;
-  while (dispatcher.Next(0)) ++claims;
-  EXPECT_EQ(claims, 5u);  // Morsel size clamps to 1.
-}
-
-TEST(WorkStealingDispatcherTest, StealsDrainAnotherWorkersChunk) {
-  // Worker 0 claims a chunk (8 morsels) and stops after one morsel;
-  // worker 1 exhausts the global cursor, then must steal the remainder
-  // of worker 0's chunk to cover the input.
-  constexpr std::size_t kTotal = 16 * 10;
-  WorkStealingDispatcher dispatcher(kTotal, 10, 2);
-  auto first = dispatcher.Next(0);
-  ASSERT_TRUE(first.has_value());
-  std::size_t covered = first->size();
-  while (auto morsel = dispatcher.Next(1)) covered += morsel->size();
-  EXPECT_EQ(covered, kTotal);
-  EXPECT_GT(dispatcher.steals(1), 0u);
-  EXPECT_EQ(dispatcher.total_steals(), dispatcher.steals(1));
-}
-
-TEST(WorkStealingDispatcherTest, FewerSharedClaimsThanMorsels) {
-  WorkStealingDispatcher dispatcher(64 * 100, 100, 1);
-  std::size_t morsels = 0;
-  while (dispatcher.Next(0)) ++morsels;
-  EXPECT_EQ(morsels, 64u);
-#if PUMP_HB_ASSERTIONS
-  EXPECT_EQ(dispatcher.hb_claims(), 64u);
-  // The point of hierarchical claiming: the shared cursor was touched
-  // once per chunk, not once per morsel.
-  EXPECT_EQ(dispatcher.hb_chunk_claims(),
-            64u / kDefaultChunkMorsels);
-#endif
-}
-
 TEST(MorselDispatcherTest, CursorSaturatesAtDrain) {
   // Regression test for unbounded cursor growth: spinning workers polling
   // a dry dispatcher must not creep the cursor past the total.
@@ -252,18 +154,6 @@ TEST(MorselDispatcherTest, CursorSaturatesAtDrain) {
     EXPECT_FALSE(dispatcher.Next().has_value());
   }
   EXPECT_EQ(dispatcher.dispatched(), 1000u);
-}
-
-TEST(WorkStealingDispatcherTest, DrainedDispatcherStaysDrained) {
-  WorkStealingDispatcher dispatcher(1000, 64, 4);
-  std::size_t covered = 0;
-  while (auto morsel = dispatcher.Next(0)) covered += morsel->size();
-  EXPECT_EQ(covered, 1000u);
-  for (int i = 0; i < 1000; ++i) {
-    for (std::size_t w = 0; w < 4; ++w) {
-      EXPECT_FALSE(dispatcher.Next(w).has_value());
-    }
-  }
 }
 
 }  // namespace

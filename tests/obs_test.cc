@@ -286,10 +286,10 @@ TEST(MetricsTest, SnapshotContainsCoreFamiliesEvenWhenUntouched) {
   obs::EnsureCoreMetrics();
   const std::string json = MetricsRegistry::Instance().SnapshotJson();
   for (const char* name :
-       {"exec.dispatches", "exec.tasks_run", "exec.ws.chunk_claims",
-        "exec.het.batches", "fault.checks", "fault.injections",
-        "fault.retries", "transfer.chunks", "transfer.bytes",
-        "plan.queries", "plan.morsels"}) {
+       {"exec.dispatches", "exec.tasks_run", "exec.het.batches",
+        "fault.checks", "fault.injections", "fault.retries",
+        "transfer.chunks", "transfer.bytes", "plan.queries",
+        "plan.morsels"}) {
     const std::string needle = std::string("\"") + name + "\"";
     EXPECT_NE(json.find(needle), std::string::npos)
         << "metrics snapshot lost counter family " << name;

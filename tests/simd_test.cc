@@ -21,7 +21,7 @@
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "data/generator.h"
-#include "exec/work_stealing.h"
+#include "exec/morsel.h"
 #include "gtest/gtest.h"
 #include "hash/hash_table.h"
 #include "hash/hybrid_table.h"
@@ -365,7 +365,7 @@ TEST(SwwcPartitionTest, RadixJoinBitIdenticalAcrossDispatch) {
 
 TEST(SwwcPartitionTest, MorselLedgerPreservedAcrossDispatch) {
   // The SWWC scatter changes how stores reach memory, not the morsel
-  // structure above it: a work-stealing probe over the partitioned output
+  // structure above it: a morsel-driven probe over the partitioned output
   // must still claim every morsel exactly once (the hb-claims ledger; 0
   // in release builds where the epoch counters compile out).
   const auto inner = data::GenerateInner<std::int64_t, std::int64_t>(
@@ -378,11 +378,11 @@ TEST(SwwcPartitionTest, MorselLedgerPreservedAcrossDispatch) {
   for (const bool force_scalar : {false, true}) {
     common::ScopedForceScalar force(force_scalar);
     constexpr std::size_t kMorsel = 256;
-    exec::WorkStealingDispatcher dispatcher(outer.size(), kMorsel, 2);
+    exec::MorselDispatcher dispatcher(outer.size(), kMorsel);
     std::uint64_t matches = 0;
     std::uint64_t sum = 0;
     std::size_t morsels = 0;
-    while (auto morsel = dispatcher.Next(0)) {
+    while (auto morsel = dispatcher.Next()) {
       ++morsels;
       join::ProbeRange<PerfectHashTable<std::int64_t, std::int64_t>,
                        std::int64_t, std::int64_t>(
