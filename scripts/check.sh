@@ -105,8 +105,9 @@ trap 'rm -rf "$TMP_DIR"' EXIT
 #     queries, deadlines, client cancels and admission faults in the mix.
 #     servebench exits non-zero on any hung/lost query, any completed
 #     result that differs from solo execution, any accounting invariant
-#     violation (submitted == admitted + shed + rejected), or any
-#     abnormal resolution without a matching flight-recorder artifact.
+#     violation (submitted == admitted + shed + rejected), any abnormal
+#     resolution without a matching flight-recorder artifact, or a sweep
+#     in which GPU-budget pressure forced no query onto the CPU.
 say "servebench soak smoke (TSan, --quick): zero hung/lost queries"
 ./build-tsan/tools/servebench --quick --soak \
     --incidents-out="$TMP_DIR/soak_incidents.json"

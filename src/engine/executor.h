@@ -107,8 +107,9 @@ struct ExecReport {
   bool degraded = false;
   /// Human-readable reason for the degradation; empty when clean.
   std::string degradation_reason;
-  /// Smallest GPU-resident fraction achieved across the joins' modelled
-  /// hash-table allocations (1.0 when fully GPU-resident or no joins).
+  /// Smallest GPU-resident fraction achieved across the modelled
+  /// hash-table fragments of the GPU-placed builds (1.0 when fully
+  /// GPU-resident or when no build is GPU-placed, e.g. without joins).
   double hybrid_gpu_fraction = 1.0;
   /// Transfer chunk retries performed (transient faults survived).
   std::uint64_t transfer_retries = 0;

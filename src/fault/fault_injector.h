@@ -20,9 +20,12 @@ inline constexpr const char kAllocDevice[] = "alloc.device";
 inline constexpr const char kUmMigrate[] = "um.migrate";
 inline constexpr const char kSchedWorkerStall[] = "sched.worker_stall";
 inline constexpr const char kLinkDegrade[] = "link.degrade";
-/// Fired per plan pipeline before its GPU-side stage launches. Scopes:
-/// "build" for the build pipelines, "probe" for the probe pipeline. Lets
-/// tests fail one pipeline of a plan and assert the others' results are
+/// Fired before a GPU-side plan stage launches. Scopes: "build" before
+/// each build fragment's device placement (builds in plan order, then
+/// devices in set order), "probe" before the probe pipeline. A failed
+/// fragment re-places its build on the CPU in a single-device plan and
+/// degrades its device's shard in a sharded one. Lets tests fail one
+/// pipeline or shard of a plan and assert the others' results are
 /// reused instead of recomputed.
 inline constexpr const char kPlanPipeline[] = "plan.pipeline";
 /// Fired by the server when a query is admitted into the session queue

@@ -103,10 +103,11 @@ std::uint64_t TableBytes(const KeyStats& keys, HashTableKind kind) {
 }
 
 /// Hash-table selection matrix (DESIGN.md Sec. 10), applied after
-/// placement: perfect for dense key domains, hybrid when a GPU-placed
-/// dense table exceeds the headroom its predecessors left or the cost
-/// model split it across memories, linear probing otherwise. Only
-/// GPU-placed tables draw on the headroom.
+/// placement and device sets: perfect for dense key domains, hybrid when
+/// a GPU-placed dense table's fragment on the first device of its set
+/// (the largest, FragmentBytes) exceeds the headroom its predecessors
+/// left or the cost model split it across memories, linear probing
+/// otherwise. Only GPU-placed tables draw on the headroom.
 HashTableKind ChooseTableKind(const BuildPipeline& build, bool split,
                               std::uint64_t headroom,
                               std::uint64_t* gpu_used) {
@@ -114,7 +115,9 @@ HashTableKind ChooseTableKind(const BuildPipeline& build, bool split,
   if (build.placement == PipelinePlacement::kCpu) {
     return HashTableKind::kPerfect;
   }
-  const std::uint64_t bytes = TableBytes(build.keys, HashTableKind::kPerfect);
+  const std::uint64_t bytes =
+      FragmentBytes(TableBytes(build.keys, HashTableKind::kPerfect),
+                    build.device_set.size(), 0);
   if (*gpu_used + bytes > headroom) return HashTableKind::kHybrid;
   *gpu_used += bytes;
   return split ? HashTableKind::kHybrid : HashTableKind::kPerfect;
@@ -212,11 +215,9 @@ Status PlaceByCostModel(const engine::Query& query,
   return Status::OK();
 }
 
-/// Bytes of fact columns the probe pipeline reads over the interconnect:
-/// one column per probe operator (measure, filters, probe keys),
-/// fact_rows 64-bit values each. This is also the tuple payload the
-/// exchange redistributes.
-std::uint64_t StagedProbeBytes(const PhysicalPlan& plan) {
+/// The tuple payload the exchange redistributes: one column per probe
+/// operator (measure, filters, probe keys), fact_rows 64-bit values each.
+std::uint64_t ExchangePayloadBytes(const PhysicalPlan& plan) {
   return static_cast<std::uint64_t>(plan.probe.ops.size()) *
          plan.shape.fact_rows * sizeof(std::int64_t);
 }
@@ -309,13 +310,13 @@ Status PlaceShards(const CompileOptions& options, const DeviceSet& live,
   DeviceSet chosen = live;
   if (options.policy == PlacementPolicy::kCostModel && live.size() > 1 &&
       plan->probe.placement != PipelinePlacement::kCpu) {
-    const std::uint64_t staged = StagedProbeBytes(*plan);
+    const std::uint64_t payload = ExchangePayloadBytes(*plan);
     const double probe_s = std::max(plan->probe.modelled_cost_s, 1e-9);
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t n = 1; n <= live.size(); ++n) {
       DeviceSet prefix(live.begin(), live.begin() + n);
       PUMP_ASSIGN_OR_RETURN(ExchangeStage exchange,
-                            PlanExchange(topo, prefix, staged));
+                            PlanExchange(topo, prefix, payload));
       const double score =
           probe_s / static_cast<double>(n) + exchange.modelled_cost_s;
       if (score < best) {
@@ -338,8 +339,8 @@ Status PlaceShards(const CompileOptions& options, const DeviceSet& live,
   }
   if (plan->probe.placement == PipelinePlacement::kCpu) return Status::OK();
   plan->probe.device_set = chosen;
-  PUMP_ASSIGN_OR_RETURN(plan->exchange,
-                        PlanExchange(topo, chosen, StagedProbeBytes(*plan)));
+  PUMP_ASSIGN_OR_RETURN(
+      plan->exchange, PlanExchange(topo, chosen, ExchangePayloadBytes(*plan)));
   if (plan->shard.active()) {
     AppendNote(plan, "sharded across " + std::to_string(chosen.size()) +
                          " devices; modelled exchange " +
@@ -424,15 +425,15 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
   if (options.policy == PlacementPolicy::kCostModel && gpu_policy) {
     PUMP_RETURN_NOT_OK(PlaceByCostModel(query, options, &plan, &split));
   }
-  // Table kinds follow the final placements.
+  if (gpu_policy && plan.UsesGpu()) {
+    PUMP_RETURN_NOT_OK(PlaceShards(options, live, &plan));
+  }
+  // Table kinds follow the final placements and device sets.
   std::uint64_t gpu_used = 0;
   for (std::size_t i = 0; i < plan.builds.size(); ++i) {
     BuildPipeline& build = plan.builds[i];
     build.table_kind = ChooseTableKind(build, split[i], headroom, &gpu_used);
     build.table_bytes = TableBytes(build.keys, build.table_kind);
-  }
-  if (gpu_policy && plan.UsesGpu()) {
-    PUMP_RETURN_NOT_OK(PlaceShards(options, live, &plan));
   }
   return plan;
 }
@@ -440,28 +441,13 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
 std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     const PhysicalPlan& plan) {
   std::map<hw::DeviceId, std::uint64_t> per_device;
-  // A sharded pipeline divides its bytes evenly across its device set,
-  // remainder to the first device. Legacy plans without device sets
-  // charge the default testbed's GPU.
-  const auto split = [&per_device](const DeviceSet& set,
-                                   std::uint64_t bytes) {
-    if (bytes == 0) return;
-    if (set.empty()) {
-      per_device[hw::kGpu0] += bytes;
-      return;
-    }
-    const std::uint64_t share = bytes / set.size();
-    per_device[set.front()] +=
-        bytes - share * static_cast<std::uint64_t>(set.size() - 1);
-    for (std::size_t i = 1; i < set.size(); ++i) per_device[set[i]] += share;
-  };
+  // CPU-placed builds carry no device set.
   for (const BuildPipeline& build : plan.builds) {
-    if (build.placement != PipelinePlacement::kCpu) {
-      split(build.device_set, build.table_bytes);
+    const DeviceSet& devices = build.device_set;
+    for (std::size_t k = 0; k < devices.size(); ++k) {
+      per_device[devices[k]] +=
+          FragmentBytes(build.table_bytes, devices.size(), k);
     }
-  }
-  if (plan.probe.placement != PipelinePlacement::kCpu) {
-    split(plan.probe.device_set, StagedProbeBytes(plan));
   }
   return per_device;
 }

@@ -34,8 +34,9 @@ struct CompileOptions {
   /// GPU memory available for hash tables, per device. 0 derives it from
   /// the profile's (or the default AC922's) GPU capacity minus a 1 GiB
   /// working-space reserve. A device whose in-flight pool already holds
-  /// this much takes no part in the plan; a GPU-placed dense table that
-  /// exceeds the smallest remainder among the others becomes hybrid.
+  /// this much takes no part in the plan; a GPU-placed dense table whose
+  /// fragment on its first device exceeds the smallest remainder among
+  /// the others becomes hybrid.
   std::uint64_t gpu_budget_bytes = 0;
   /// System profile for the cost-model policy; null uses hw::Ac922Profile.
   const hw::SystemProfile* profile = nullptr;
@@ -76,20 +77,13 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
 /// consistent with the key statistics. Returns the first violation.
 Status ValidatePlan(const PhysicalPlan& plan);
 
-/// Modelled GPU bytes `plan` occupies per device while executing as
-/// placed: GPU-resident hash tables plus the fact columns a GPU or
-/// heterogeneous probe reads. A sharded plan divides them evenly across
-/// the shard devices; a single-device plan charges everything to its one
-/// device. Empty for a CPU-only plan. The server's admission controller
-/// charges it to the per-device pools and feeds them back through
-/// CompileOptions::device_budget_in_use.
-///
-/// The probe pulls its columns in place, so their bytes never occupy
-/// device memory; the column charge is kept all the same. Dropping it
-/// would change which queries the pools admit and where the compiler
-/// places them: an admission-policy change, separate from how the bytes
-/// move. Meanwhile the charge over-states a GPU-side probe's footprint,
-/// which errs towards degrading plans to fewer devices or the CPU early.
+/// Modelled GPU bytes `plan` holds per device while executing as placed:
+/// each GPU-placed build's hash-table fragment on each device of its set
+/// (FragmentBytes), the same fragments the executor places. The probe
+/// pulls its columns in place, so they hold no device memory and are not
+/// charged. Empty for a plan without GPU-placed builds. The server's
+/// admission controller charges it to the per-device pools and feeds
+/// them back through CompileOptions::device_budget_in_use.
 std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     const PhysicalPlan& plan);
 

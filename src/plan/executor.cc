@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,19 +106,21 @@ void FinishReasons(const std::vector<std::string>& reasons,
 
 using TableHandles = std::vector<std::shared_ptr<const DimensionTable>>;
 
-/// Models one device placement of `bytes` on `device`, for a build
-/// fragment or a probe shard: probes the plan.pipeline failpoint tagged
-/// `site`, allocates through AllocateHybrid (which spills to CPU memory
-/// on an injected device OOM) and lowers the report's hybrid GPU
-/// fraction to the placement's. The buffer joins `placements`, so later
-/// placements of the same query see the device memory it holds.
+/// Devices that lost a build fragment, each with its first failure.
+using LostDevices = std::map<hw::DeviceId, Status>;
+
+/// Models one build fragment's placement of `bytes` on `device`: probes
+/// the plan.pipeline failpoint (scope "build"), allocates through
+/// AllocateHybrid (which spills to CPU memory on an injected device OOM)
+/// and lowers the report's hybrid GPU fraction to the placement's. The
+/// buffer joins `placements`, so later fragments of the same query see
+/// the device memory it holds.
 Status PlaceOnDevice(memory::MemoryManager* manager, std::uint64_t bytes,
-                     hw::DeviceId device, const char* site,
-                     const engine::ExecOptions& options,
+                     hw::DeviceId device, const engine::ExecOptions& options,
                      engine::ExecReport* report,
                      std::vector<memory::Buffer>* placements) {
   if (options.injector != nullptr) {
-    PUMP_RETURN_NOT_OK(options.injector->Check(fault::kPlanPipeline, site));
+    PUMP_RETURN_NOT_OK(options.injector->Check(fault::kPlanPipeline, "build"));
   }
   PUMP_ASSIGN_OR_RETURN(
       memory::Buffer placement,
@@ -133,12 +136,15 @@ Status PlaceOnDevice(memory::MemoryManager* manager, std::uint64_t bytes,
 /// BuildCache in the options, builds are further deduplicated *across*
 /// queries: a cache hit reuses a sibling query's table (reported as
 /// dim_tables_reused), a miss builds through the cache's single-flight
-/// slot. GPU-placed builds model their device allocation (spilling on
-/// injected OOM); a build that cannot obtain any device placement is
-/// re-placed on the CPU without discarding the functional table.
+/// slot. GPU-placed builds model their device fragments (spilling on
+/// injected OOM); every device whose fragment cannot be placed joins
+/// `lost`. In a single-device plan the build is then re-placed on the
+/// CPU without discarding the functional table; in a sharded plan the
+/// probe re-runs that device's shard on the CPU instead.
 Result<TableHandles> RunBuildPipelines(
     const PhysicalPlan& plan, const engine::ExecOptions& options,
-    engine::ExecReport* report, std::vector<std::string>* reasons) {
+    engine::ExecReport* report, std::vector<std::string>* reasons,
+    LostDevices* lost) {
   TableHandles tables;
   tables.reserve(plan.builds.size());
   for (std::size_t i = 0; i < plan.builds.size(); ++i) {
@@ -182,9 +188,8 @@ Result<TableHandles> RunBuildPipelines(
   // Modelled placement on the plan's topology (default AC922): device
   // allocation probes the alloc.device failpoint and spills the
   // remainder to CPU memory (rung 2). The functional build stays on the
-  // host, mirroring the repo-wide functional/model split. A sharded
-  // build hash-partitions its table across its device set, so each
-  // device models an even fragment.
+  // host, mirroring the repo-wide functional/model split. Each device of
+  // a build's set holds its FragmentBytes share of the table.
   hw::Topology topology =
       plan.profile != nullptr ? plan.profile->topology : hw::IbmAc922();
   memory::MemoryManager manager(&topology, /*materialize=*/false);
@@ -196,19 +201,18 @@ Result<TableHandles> RunBuildPipelines(
                     static_cast<double>(build.join_index),
                     static_cast<double>(build.table_bytes));
     const auto start = Clock::now();
-    const DeviceSet devices = build.device_set.empty()
-                                  ? DeviceSet{hw::kGpu0}
-                                  : build.device_set;
-    const std::uint64_t fragment_bytes = std::max<std::uint64_t>(
-        16, build.table_bytes / devices.size());
+    const DeviceSet& devices = build.device_set;
     Status failed = Status::OK();
-    for (const hw::DeviceId device : devices) {
-      failed = PlaceOnDevice(&manager, fragment_bytes, device, "build",
-                             options, report, &placements);
-      if (!failed.ok()) break;
+    for (std::size_t k = 0; k < devices.size(); ++k) {
+      Status placed = PlaceOnDevice(
+          &manager, FragmentBytes(build.table_bytes, devices.size(), k),
+          devices[k], options, report, &placements);
+      if (placed.ok()) continue;
+      lost->emplace(devices[k], placed);
+      failed = std::move(placed);
     }
     report->pipelines[i].measured_s += SecondsSince(start);
-    if (!failed.ok()) {
+    if (!failed.ok() && !plan.shard.active()) {
       // Per-pipeline rung 3: this build loses its GPU placement but its
       // cached table survives for the CPU-side probe.
       report->pipelines[i].placement_used =
@@ -437,12 +441,13 @@ std::size_t ShardOf(std::int64_t key, std::size_t shard_count) {
 /// and each shard probes its partition of the host columns through the
 /// morsel driver. The shards run the same block loop as the CPU probe
 /// and the aggregate is order-independent, so the result is
-/// bit-identical to the single-device plan. A shard whose device fails
-/// its modelled allocation degrades alone — the other shards keep their
-/// placements (shard-by-shard fault ladder).
+/// bit-identical to the single-device plan. A shard whose device lost a
+/// build fragment (`lost`) degrades alone — the other shards keep their
+/// placements (shard-by-shard fault ladder). The shards hold nothing in
+/// device memory beyond the build fragments, so nothing is allocated.
 Status RunProbeSharded(const PhysicalPlan& plan,
                        const engine::ExecOptions& options,
-                       const TableHandles& tables,
+                       const TableHandles& tables, const LostDevices& lost,
                        engine::ExecReport* report,
                        std::vector<std::string>* reasons) {
   const engine::Table& fact = *plan.query->fact;
@@ -540,31 +545,19 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   exchange_row.measured_s = SecondsSince(exchange_start);
   report->shards.push_back(std::move(exchange_row));
 
-  // Per-shard modelled device placement: each shard's partition is
-  // allocated on its own device. A failed shard degrades to the CPU
+  // A shard whose device lost a build fragment degrades to the CPU
   // alone; the remaining shards keep their devices.
-  hw::Topology topology =
-      plan.profile != nullptr ? plan.profile->topology : hw::IbmAc922();
-  memory::MemoryManager manager(&topology, /*materialize=*/false);
-  std::vector<bool> shard_degraded(shard_count, false);
-  std::vector<memory::Buffer> shard_buffers;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    const std::uint64_t shard_bytes = std::max<std::uint64_t>(
-        16, shard_indices[s].size() * tuple_bytes);
-    const Status placed = PlaceOnDevice(&manager, shard_bytes, devices[s],
-                                        "shard", options, report,
-                                        &shard_buffers);
-    if (!placed.ok()) {
-      shard_degraded[s] = true;
-      ++report->shards_replaced;
-      Counters().replacements.Add();
-      PUMP_TRACE_INSTANT(obs::TraceCategory::kPlan, "plan.replace",
-                         static_cast<double>(devices[s]));
-      reasons->push_back("shard " + std::to_string(s) + " lost device " +
-                         std::to_string(devices[s]) + " (" +
-                         placed.ToString() +
-                         "); re-placed on CPU, other shards unaffected");
-    }
+    const auto failure = lost.find(devices[s]);
+    if (failure == lost.end()) continue;
+    ++report->shards_replaced;
+    Counters().replacements.Add();
+    PUMP_TRACE_INSTANT(obs::TraceCategory::kPlan, "plan.replace",
+                       static_cast<double>(devices[s]));
+    reasons->push_back("shard " + std::to_string(s) + " lost device " +
+                       std::to_string(devices[s]) + " (" +
+                       failure->second.ToString() +
+                       "); re-placed on CPU, other shards unaffected");
   }
 
   // Probe the shards: each runs the morsel driver over its own partition
@@ -573,15 +566,15 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   ProbeTotals totals;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::vector<std::uint32_t>& indices = shard_indices[s];
+    const bool degraded = lost.contains(devices[s]);
     engine::PipelineOutcome shard_row;
     shard_row.name =
         "shard[" + std::to_string(s) + "]@dev" + std::to_string(devices[s]);
     shard_row.kind = "probe";
     shard_row.placement_planned = ToString(plan.probe.placement);
-    shard_row.placement_used = shard_degraded[s]
-                                   ? ToString(PipelinePlacement::kCpu)
-                                   : shard_row.placement_planned;
-    if (shard_degraded[s]) ++shard_row.attempts;
+    shard_row.placement_used = degraded ? ToString(PipelinePlacement::kCpu)
+                                        : shard_row.placement_planned;
+    if (degraded) ++shard_row.attempts;
     const auto shard_start = Clock::now();
     // Shard attribution for the probe phase: the executor forwards the
     // dispatching thread's context, so every worker's hash.probe/morsel
@@ -640,8 +633,10 @@ Result<engine::ExecReport> ExecutePlan(const PhysicalPlan& plan,
   } report_mirror{options.partial_report, &report};
 
   // Build stage (cached across the whole ladder).
-  PUMP_ASSIGN_OR_RETURN(const TableHandles tables,
-                        RunBuildPipelines(plan, options, &report, &reasons));
+  LostDevices lost;
+  PUMP_ASSIGN_OR_RETURN(
+      const TableHandles tables,
+      RunBuildPipelines(plan, options, &report, &reasons, &lost));
 
   // Probe stage, per-pipeline ladder.
   Counters().probe_pipelines.Add();
@@ -652,10 +647,11 @@ Result<engine::ExecReport> ExecutePlan(const PhysicalPlan& plan,
       PUMP_TRACE_SPAN(obs::TraceCategory::kPlan, "pipeline.probe",
                       /*arg0=*/1.0,
                       static_cast<double>(plan.shape.fact_rows));
-      gpu_status =
-          plan.shard.active()
-              ? RunProbeSharded(plan, options, tables, &report, &reasons)
-              : RunProbeGpu(plan, options, tables, &report, &reasons);
+      gpu_status = plan.shard.active()
+                       ? RunProbeSharded(plan, options, tables, lost,
+                                         &report, &reasons)
+                       : RunProbeGpu(plan, options, tables, &report,
+                                     &reasons);
     }
     ChargePipelineTime(&report.pipelines.back(), SecondsSince(gpu_start));
     if (gpu_status.ok()) {

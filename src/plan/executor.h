@@ -12,10 +12,12 @@ namespace pump::plan {
 ///
 ///  * Build pipelines run exactly once; their hash tables are cached and
 ///    reused by every later rung (a GPU-side probe failure no longer
-///    discards completed builds). A GPU-placed build that loses its
-///    device placement (plan.pipeline failpoint, or hybrid allocation
-///    failure) is re-placed on the CPU; a partial device allocation
-///    spills (rung 2) and is reported via hybrid_gpu_fraction.
+///    discards completed builds). A GPU-placed build models one table
+///    fragment per device of its set (FragmentBytes). A fragment that
+///    cannot be placed (plan.pipeline failpoint, or hybrid allocation
+///    failure) re-places its build on the CPU in a single-device plan,
+///    and only that device's shard in a sharded plan; a partial device
+///    allocation spills (rung 2) and is reported via hybrid_gpu_fraction.
 ///  * A GPU/heterogeneous probe pipeline pulls the fact columns in
 ///    place, chunk-wise with per-chunk retry (rung 1), and schedules
 ///    CPU+GPU groups with failover; on an unrecoverable fault it is

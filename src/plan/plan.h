@@ -51,6 +51,18 @@ const char* ToString(ops::CompareOp op);
 /// plans; several entries when the plan is sharded across a mesh.
 using DeviceSet = std::vector<hw::DeviceId>;
 
+/// What a GPU-placed hash table of `table_bytes` holds on device `index`
+/// of its `devices`-device set: an even share, with the remainder on the
+/// first device. The probe pulls fact columns in place, so these
+/// fragments are all a plan holds in device memory; compile headroom,
+/// the admission footprint and the executor's modelled placement all
+/// count them.
+inline std::uint64_t FragmentBytes(std::uint64_t table_bytes,
+                                   std::size_t devices, std::size_t index) {
+  const std::uint64_t share = table_bytes / devices;
+  return index == 0 ? table_bytes - share * (devices - 1) : share;
+}
+
 /// How a GPU-side plan is sharded across its device set. Shard `s` owns
 /// every fact tuple whose first probe key hashes to `s` modulo
 /// `devices.size()` (hash partitioning; a join-free plan partitions by
@@ -177,8 +189,8 @@ struct PhysicalPlan {
   /// Shard layout of a multi-device plan; inactive (<= 1 device) for
   /// CPU-only and single-GPU plans. When active, the executor hash-
   /// partitions fact rows across the shard devices, runs the exchange
-  /// stage, and probes the shards in parallel — bit-identically to the
-  /// single-device plan.
+  /// stage, and probes the shards one after another, each across the
+  /// query's workers — bit-identically to the single-device plan.
   ShardDescriptor shard;
   /// The exchange stage of a sharded plan (empty routes otherwise).
   ExchangeStage exchange;

@@ -92,7 +92,7 @@ struct EngineOptions {
   std::size_t queue_capacity = 8;
   /// Per-device GPU hash-table budget handed to the plan compiler; 0
   /// derives the default from the profile. Every in-flight query charges
-  /// its modelled footprint to the pools of the devices it runs on: a
+  /// its hash-table fragments to the pools of the devices holding them: a
   /// device whose pool reaches the budget takes no new plan, and when
   /// every candidate device is saturated new plans are forced onto the
   /// CPU (graceful degradation) instead of queueing behind device memory.

@@ -827,26 +827,19 @@ TEST_F(ShardedMeshTest, ShardedPlansMatchSingleDeviceAcrossMeshesAndWorkers) {
 }
 
 TEST_F(ShardedMeshTest, DeviceOomOnOneShardDegradesOnlyThatShard) {
-  const data::LineitemQ6 lineitem = data::GenerateLineitemQ6(20'000, 7);
-  const Q6PlanInput q6_input = Q6PlanInput::From(lineitem);
-  const engine::Query query = q6_input.MakeQuery();
-
-  const auto reference_plan = Compile(query, ShardedOptions(nullptr));
-  ASSERT_TRUE(reference_plan.ok()) << reference_plan.status();
-  engine::ExecOptions reference_exec;
-  reference_exec.workers = 2;
-  const auto reference = ExecutePlan(reference_plan.value(),
-                                     reference_exec);
-  ASSERT_TRUE(reference.ok()) << reference.status();
+  const engine::Query query = engine::SsbQ1(*db_);
+  const engine::QueryResult expected = Oracle(query);
 
   for (const hw::SystemProfile* profile : {ring4_, crossbar8_}) {
     SCOPED_TRACE(profile->name);
     const auto plan = Compile(query, ShardedOptions(profile));
     ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan.value().builds.size(), 1u);
 
-    // Q6 has no build pipelines, so the plan.pipeline site sees one
-    // "probe" hit then one "shard" hit per shard; after_hits=1 with one
-    // allowed fire OOMs exactly the second shard's device admission.
+    // Q1's one build places a date-table fragment on every shard device,
+    // each behind one "build" hit of the plan.pipeline site (devices in
+    // set order); after_hits=1 with one allowed fire fails exactly the
+    // second device's fragment.
     fault::FaultInjector injector(11);
     fault::FaultSpec spec;
     spec.probability = 1.0;
@@ -860,17 +853,49 @@ TEST_F(ShardedMeshTest, DeviceOomOnOneShardDegradesOnlyThatShard) {
     exec.injector = &injector;
     const auto sharded = ExecutePlan(plan.value(), exec);
     ASSERT_TRUE(sharded.ok()) << sharded.status();
-    EXPECT_EQ(sharded.value().result, reference.value().result);
+    EXPECT_EQ(sharded.value().result, expected);
     EXPECT_EQ(sharded.value().shards_replaced, 1u);
     EXPECT_TRUE(sharded.value().used_gpu);
     EXPECT_TRUE(sharded.value().degraded);
+    // The build keeps its other fragments: only the shard degrades.
+    EXPECT_EQ(sharded.value().pipelines[0].placement_used, "gpu");
 
-    std::size_t cpu_shards = 0;
+    std::vector<std::string> cpu_shards;
     for (const engine::PipelineOutcome& row : sharded.value().shards) {
-      if (row.kind == "probe" && row.placement_used == "cpu") ++cpu_shards;
+      if (row.kind == "probe" && row.placement_used == "cpu") {
+        cpu_shards.push_back(row.name);
+      }
     }
-    EXPECT_EQ(cpu_shards, 1u);
+    const std::string second =
+        "shard[1]@dev" + std::to_string(plan.value().shard.devices[1]);
+    EXPECT_EQ(cpu_shards, std::vector<std::string>{second});
   }
+
+  // A join-free plan (Q6) holds nothing on its devices: with every
+  // device allocation armed to fail, nothing allocates, no shard
+  // degrades and no table spills.
+  const data::LineitemQ6 lineitem = data::GenerateLineitemQ6(20'000, 7);
+  const Q6PlanInput q6_input = Q6PlanInput::From(lineitem);
+  const engine::Query q6 = q6_input.MakeQuery();
+  const auto q6_plan = Compile(q6, ShardedOptions(ring4_));
+  ASSERT_TRUE(q6_plan.ok()) << q6_plan.status();
+  ASSERT_TRUE(q6_plan.value().shard.active());
+  fault::FaultInjector oom(11);
+  fault::FaultSpec device_oom;
+  device_oom.probability = 1.0;
+  device_oom.code = StatusCode::kResourceExhausted;
+  oom.Arm(fault::kAllocDevice, device_oom);
+  engine::ExecOptions q6_exec;
+  q6_exec.workers = 2;
+  q6_exec.injector = &oom;
+  const auto q6_report = ExecutePlan(q6_plan.value(), q6_exec);
+  ASSERT_TRUE(q6_report.ok()) << q6_report.status();
+  EXPECT_EQ(q6_report.value().result, Oracle(q6));
+  EXPECT_EQ(q6_report.value().hybrid_gpu_fraction, 1.0);
+  EXPECT_EQ(oom.hits(fault::kAllocDevice), 0u);
+  EXPECT_EQ(q6_report.value().shards_replaced, 0u);
+  EXPECT_FALSE(q6_report.value().degraded)
+      << q6_report.value().degradation_reason;
 }
 
 TEST_F(ShardedMeshTest, ProbeFaultOnShardedPlanDescendsToCpu) {

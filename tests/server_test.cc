@@ -391,6 +391,56 @@ TEST(QueryEngineTest, SaturatedGpuBudgetDegradesToCpu) {
   EXPECT_FALSE(report2.value().used_gpu);
 }
 
+TEST(QueryEngineTest, GpuBudgetOfKTablesKeepsKQueriesOnGpu) {
+  // Device memory holds a plan's hash tables, not the columns its probe
+  // pulls: a single-GPU budget of two Q1 date tables admits exactly two
+  // Q1s on the GPU and forces the third onto the CPU.
+  const engine::Query query = engine::SsbQ1(Db());
+  const engine::QueryResult expected = Solo(query);
+  plan::CompileOptions compile;
+  compile.policy = plan::PlacementPolicy::kGpuPreferred;
+  const Result<plan::PhysicalPlan> solo_plan = plan::Compile(query, compile);
+  ASSERT_TRUE(solo_plan.ok()) << solo_plan.status();
+  std::uint64_t table_bytes = 0;
+  for (const plan::BuildPipeline& build : solo_plan.value().builds) {
+    if (build.placement != plan::PipelinePlacement::kCpu) {
+      table_bytes += build.table_bytes;
+    }
+  }
+  ASSERT_GT(table_bytes, 0u);
+
+  server::EngineOptions options;
+  options.session_threads = 1;
+  options.queue_capacity = 4;
+  options.gpu_budget_bytes = 2 * table_bytes;
+  server::QueryEngine engine(options);
+  engine.Pause();
+  std::vector<std::shared_ptr<server::QueryHandle>> handles;
+  for (int i = 0; i < 2; ++i) {
+    Result<std::shared_ptr<server::QueryHandle>> handle =
+        engine.Submit(query);
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    handles.push_back(handle.value());
+  }
+  server::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.degraded_to_cpu, 0u);
+  ASSERT_EQ(stats.device_inflight_bytes.size(), 1u);
+  EXPECT_EQ(stats.device_inflight_bytes.begin()->second, 2 * table_bytes);
+
+  Result<std::shared_ptr<server::QueryHandle>> third = engine.Submit(query);
+  ASSERT_TRUE(third.ok()) << third.status();
+  handles.push_back(third.value());
+  EXPECT_EQ(engine.stats().degraded_to_cpu, 1u);
+
+  engine.Resume();
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const Result<engine::ExecReport>& report = handles[i]->Wait();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report.value().result, expected) << "query " << i;
+    EXPECT_EQ(report.value().used_gpu, i < 2) << "query " << i;
+  }
+}
+
 TEST(QueryEngineTest, SharedCacheReusesBuildsAcrossQueries) {
   const engine::Query query = engine::SsbQ1(Db());
   server::EngineOptions options;
@@ -526,8 +576,8 @@ TEST(QueryEngineTest, SloWithEmptyWindowIsVacuouslyHealthy) {
 TEST(QueryEngineTest, FlightRecorderCapturesLadderExhaustion) {
   // The acceptance scenario: one query exhausts its fault ladder while
   // siblings run under injected device-OOM (which the ladder absorbs by
-  // re-placing on the CPU). Exactly the terminal failure leaves an
-  // incident artifact; the absorbed-fault siblings complete
+  // spilling their tables to CPU memory). Exactly the terminal failure
+  // leaves an incident artifact; the absorbed-fault siblings complete
   // bit-identical to solo execution and leave none.
   const engine::Query q1 = engine::SsbQ1(Db());
   const engine::QueryResult expected = Solo(q1);
@@ -537,8 +587,9 @@ TEST(QueryEngineTest, FlightRecorderCapturesLadderExhaustion) {
   options.queue_capacity = 16;
   server::QueryEngine engine(options);
 
-  // Device-OOM on every allocation: rung 2 of the ladder spills the
-  // build/probe to the CPU, so the query still succeeds.
+  // Device-OOM on every allocation: rung 2 of the ladder spills each
+  // GPU-placed build's table to CPU memory (only builds allocate device
+  // memory), so the query still succeeds.
   fault::FaultInjector oom(/*seed=*/13);
   fault::FaultSpec device_oom;
   device_oom.probability = 1.0;
@@ -693,8 +744,9 @@ TEST(QueryEngineTest, ShardedSubmissionChargesEveryDevicePool) {
 
 TEST(QueryEngineTest, MeshPressureIsJudgedPerDevice) {
   // Pressure is judged per device: each pool may hold 1.5 plans' worth
-  // of the whole four-device footprint, so four sharded Q1s fill every
-  // pool to two thirds of its budget and all four stay sharded.
+  // of the whole four-device footprint (the Q1 date table, a quarter of
+  // it on each device), so four sharded Q1s fill every pool to two
+  // thirds of its budget and all four stay sharded.
   const engine::Query query = engine::SsbQ1(Db());
   const engine::QueryResult expected = Solo(query);
   const hw::SystemProfile ring = hw::NvlinkRingProfile(4);
@@ -712,6 +764,8 @@ TEST(QueryEngineTest, MeshPressureIsJudgedPerDevice) {
     footprint += bytes;
     bytes *= 4;
   }
+  ASSERT_EQ(solo_plan.value().builds.size(), 1u);
+  EXPECT_EQ(footprint, solo_plan.value().builds[0].table_bytes);
 
   server::EngineOptions options;
   options.session_threads = 1;

@@ -11,10 +11,12 @@
 //    probabilities, submitting bursts of concurrent queries from
 //    multiple threads under seeded injectors (transfer faults, group
 //    stalls, pipeline faults, server.admission sheds, server.cancel
-//    cancellations, tight deadlines) with a watchdog. The invariants
-//    checked are the PR's acceptance bar: every Submit resolves (no
-//    hung or lost query), the engine's accounting balances, and every
-//    completed query's result is bit-identical to its solo run.
+//    cancellations, tight deadlines) with a watchdog. It checks that
+//    every Submit resolves (no hung or lost query), the engine's
+//    accounting balances, every completed query's result is
+//    bit-identical to its solo run, and the per-device GPU budget
+//    (twice the largest query's hash tables) forces at least one query
+//    of the sweep onto the CPU.
 //
 // --quick shrinks the workload for CI smoke use (check.sh runs the soak
 // under TSan).
@@ -37,6 +39,7 @@
 #include "fault/fault_injector.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "plan/compiler.h"
 #include "server/introspect.h"
 #include "server/query_engine.h"
 
@@ -245,12 +248,39 @@ std::unique_ptr<PoisonFixture> MakePoison(const engine::SsbDatabase& db) {
   return fixture;
 }
 
+/// The soak's per-device GPU budget: twice the largest GPU charge of one
+/// mix query under the engine's default placement (its hash tables), so
+/// a few in-flight queries saturate it and the degrade-to-CPU path runs
+/// under pressure at every scale.
+std::uint64_t SoakGpuBudget(const std::vector<MixCase>& mix) {
+  plan::CompileOptions gpu;
+  gpu.policy = plan::PlacementPolicy::kGpuPreferred;
+  std::uint64_t largest = 0;
+  for (const MixCase& mix_case : mix) {
+    Result<plan::PhysicalPlan> plan = plan::Compile(mix_case.query, gpu);
+    if (!plan.ok()) {
+      std::cerr << "FATAL: compile of " << mix_case.name
+                << " failed: " << plan.status().ToString() << "\n";
+      std::exit(1);
+    }
+    std::uint64_t charge = 0;
+    for (const auto& [device, bytes] :
+         plan::EstimatedGpuFootprintPerDevice(plan.value())) {
+      charge += bytes;
+    }
+    largest = std::max(largest, charge);
+  }
+  return 2 * largest;
+}
+
 /// One soak cell: a burst of concurrent queries from several submitter
 /// threads under a seeded fault cocktail. Returns false on any violated
-/// invariant (the caller exits nonzero).
+/// invariant (the caller exits nonzero); adds the cell's queries forced
+/// onto the CPU by GPU pressure to `*degraded`.
 bool SoakCell(const std::vector<MixCase>& mix,
               const PoisonFixture& poison, std::size_t workers,
               double fault_p, std::uint64_t seed, double timeout_s,
+              std::uint64_t gpu_budget_bytes, std::uint64_t* degraded,
               std::string* incidents_json) {
   // Fresh rings per cell: incident trace tails stay cell-local, and the
   // rings never get close to wrapping mid-capture (a mid-run Snapshot
@@ -279,10 +309,7 @@ bool SoakCell(const std::vector<MixCase>& mix,
   server::EngineOptions engine_options;
   engine_options.session_threads = 4;
   engine_options.queue_capacity = 8;
-  // A small budget so concurrent footprints saturate it and the
-  // degrade-to-CPU path runs under pressure (a few in-flight queries
-  // fill it even at --quick scale).
-  engine_options.gpu_budget_bytes = 2ull << 20;
+  engine_options.gpu_budget_bytes = gpu_budget_bytes;
   engine_options.injector = &server_faults;
   server::QueryEngine engine(engine_options);
 
@@ -439,6 +466,7 @@ bool SoakCell(const std::vector<MixCase>& mix,
             << stats.deadline_exceeded << " deadline, " << stats.failed
             << " failed, " << stats.degraded_to_cpu << " degraded to cpu, "
             << incidents.captured << " incidents\n";
+  *degraded += stats.degraded_to_cpu;
   return true;
 }
 
@@ -447,6 +475,10 @@ int RunSoak(const engine::SsbDatabase& db, const Config& config) {
   const std::unique_ptr<PoisonFixture> poison = MakePoison(db);
   const double timeout_s = config.quick ? 60.0 : 180.0;
   const double probabilities[] = {0.0, 0.01, 0.05};
+  const std::uint64_t gpu_budget_bytes = SoakGpuBudget(mix);
+  std::cout << "  per-device GPU budget " << gpu_budget_bytes
+            << " bytes (twice the largest query's hash tables)\n";
+  std::uint64_t degraded = 0;
   // Tracing on for the whole sweep so every incident artifact carries
   // its query's trace tail.
   obs::TraceRecorder::Instance().Enable();
@@ -455,7 +487,8 @@ int RunSoak(const engine::SsbDatabase& db, const Config& config) {
   for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
     for (double p : probabilities) {
       ok = SoakCell(mix, *poison, workers, p, config.seed + workers,
-                    timeout_s, &incidents_json) &&
+                    timeout_s, gpu_budget_bytes, &degraded,
+                    &incidents_json) &&
            ok;
     }
   }
@@ -469,6 +502,11 @@ int RunSoak(const engine::SsbDatabase& db, const Config& config) {
     file << "[" << incidents_json << "]\n";
   }
   if (!ok) return 1;
+  if (degraded == 0) {
+    std::cerr << "FATAL: no query degraded to the CPU across the sweep; "
+                 "the budget no longer exercises the degrade path\n";
+    return 1;
+  }
   std::cout << "  soak passed: zero hung/lost queries across the sweep, "
                "every abnormal resolution left a flight-recorder "
                "artifact\n";
