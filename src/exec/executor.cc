@@ -1,10 +1,13 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <exception>
+#include <mutex>
 
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/query_context.h"
+#include "verify/mutation.h"
 
 namespace pump::exec {
 
@@ -33,7 +36,7 @@ ExecMetrics& Metrics() {
 
 /// True on any thread currently inside a Run slot (pool thread or the
 /// calling thread of an active dispatch). Nested Run calls observe it and
-/// fall back to inline execution instead of deadlocking on the pool.
+/// fall back to inline execution instead of posting a job from a slot.
 thread_local bool tls_in_run = false;
 
 class ScopedInRun {
@@ -42,10 +45,49 @@ class ScopedInRun {
   ~ScopedInRun() { tls_in_run = false; }
 };
 
+/// Runs one slot, returning what it threw.
+std::exception_ptr RunSlot(const std::function<void(std::size_t)>& fn,
+                           std::size_t slot) {
+  try {
+    fn(slot);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
+struct Executor::Job {
+  /// The slot function pool threads call: the caller's, wrapped with its
+  /// query context when one is installed.
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::size_t slots = 0;
+  /// Next unclaimed slot; slot 0 belongs to the caller.
+  std::size_t next_slot = 1;
+  /// Slots pool threads claimed, and how many of those finished.
+  std::size_t pool_claimed = 0;
+  std::size_t pool_done = 0;
+  /// First exception thrown by a pool-run slot.
+  std::exception_ptr error;
+  /// Signalled, under mutex_, when the last pool-run slot finishes.
+  verify::CondVar done;
+
+  /// Every slot claimed and every pool-claimed slot finished: the caller
+  /// may return and free the job.
+  bool Finished() const {
+    // Seeded bug (verify builds, armed only): the barrier releases one
+    // completion early, so Run can return while a pool thread still runs
+    // one of its slots — the exec.pool.jobs model catches it.
+    const std::size_t early =
+        PUMP_VERIFY_MUTATE("exec.pool.early_release") ? 1 : 0;
+    return next_slot == slots && pool_done + early >= pool_claimed;
+  }
+};
+
 Executor::Executor(std::size_t threads)
-    : counters_(std::max<std::size_t>(1, threads)) {
+    : stats_(std::max<std::size_t>(1, threads)) {
+  verify::NamedMutex(&mutex_, "exec.pool");
   const std::size_t count = std::max<std::size_t>(1, threads);
   threads_.reserve(count);
   for (std::size_t t = 0; t < count; ++t) {
@@ -54,51 +96,68 @@ Executor::Executor(std::size_t threads)
 }
 
 Executor::~Executor() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
+  // Under PUMP_VERIFY an aborted model run may deliver RunAborted at any
+  // of these sequence points (lock, notify, join); a destructor must not
+  // leak it (noexcept -> std::terminate). The pool threads then unwind at
+  // their own parked sequence points. In normal builds nothing here
+  // throws.
+  try {
+    {
+      std::lock_guard<verify::Mutex> lock(mutex_);
+      shutdown_ = true;
+    }
+    work_cv_.notify_all();
+    for (verify::Thread& thread : threads_) thread.join();
+  } catch (...) {
   }
-  work_cv_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
+}
+
+std::size_t Executor::ClaimLocked(Job& job) {
+  const std::size_t slot = job.next_slot++;
+  if (job.next_slot == job.slots) {
+    open_.erase(std::find(open_.begin(), open_.end(), &job));
+  }
+  return slot;
 }
 
 void Executor::WorkerLoop(std::size_t thread_index) {
   ScopedInRun in_run;  // Nested ParallelFor inside a slot runs inline.
-  ThreadCounters& counters = counters_[thread_index];
-  std::uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    while (!shutdown_ && generation_ == seen_generation) {
-      counters.parks.fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<verify::Mutex> lock(mutex_);
+  WorkerStats& stats = stats_[thread_index];
+  bool first_since_wake = true;
+  while (!shutdown_) {
+    if (open_.empty()) {
+      ++idle_;
+      ++stats.parks;
       Metrics().parks.Add();
-      work_cv_.wait(lock);
+      work_cv_.wait(lock, [this] { return shutdown_ || wakes_ > 0; });
+      if (shutdown_) return;
+      --wakes_;
+      ++stats.unparks;
+      Metrics().unparks.Add();
+      first_since_wake = true;
+      continue;
     }
-    if (shutdown_) return;
-    seen_generation = generation_;
-    counters.unparks.fetch_add(1, std::memory_order_relaxed);
-    Metrics().unparks.Add();
-    bool first_slot = true;
-    while (next_worker_ < task_workers_) {
-      const std::size_t id = next_worker_++;
-      const std::function<void(std::size_t)>* task = task_;
-      lock.unlock();
-      try {
-        (*task)(id);
-      } catch (...) {
-        std::exception_ptr error = std::current_exception();
-        std::lock_guard<std::mutex> error_lock(mutex_);
-        if (!first_exception_) first_exception_ = error;
-      }
-      lock.lock();
-      counters.tasks_run.fetch_add(1, std::memory_order_relaxed);
-      Metrics().tasks_run.Add();
-      if (!first_slot) {
-        counters.steals.fetch_add(1, std::memory_order_relaxed);
-        Metrics().steals.Add();
-      }
-      first_slot = false;
-      if (++completed_ == pool_slots_) done_cv_.notify_all();
+    // The oldest open job first, so no job's slots wait behind newer ones.
+    Job& job = *open_.front();
+    const std::size_t slot = ClaimLocked(job);
+    ++job.pool_claimed;
+    const std::function<void(std::size_t)>& fn = *job.fn;
+    lock.unlock();
+    std::exception_ptr error = RunSlot(fn, slot);
+    lock.lock();
+    if (error && !job.error) job.error = std::move(error);
+    ++stats.tasks_run;
+    Metrics().tasks_run.Add();
+    if (!first_since_wake) {
+      ++stats.steals;
+      Metrics().steals.Add();
     }
+    first_since_wake = false;
+    ++job.pool_done;
+    // Signalled under mutex_: the caller cannot return, and free the job,
+    // before this thread lets go of the lock and with it the job.
+    if (job.Finished()) job.done.notify_one();
   }
 }
 
@@ -114,9 +173,9 @@ void Executor::Run(std::size_t workers,
     return;
   }
   if (tls_in_run) {
-    // Nested dispatch from inside a slot: the pool is busy running us, so
-    // execute sequentially. Correct (same slots, same barrier), not
-    // parallel — operators dispatch at the top level.
+    // Nested dispatch from inside a slot: run sequentially. Correct (same
+    // slots, same barrier), not parallel — operators dispatch at the top
+    // level.
     RunInline(workers, fn);
     return;
   }
@@ -125,7 +184,8 @@ void Executor::Run(std::size_t workers,
   // a slot records trace events under the query that forked the phase
   // (morsel workers, GPU batch slices, shard probes all dispatch here).
   // Only wrap when a context is installed, so untagged dispatches keep
-  // the exact pre-context hot path.
+  // the exact pre-context hot path. Slots the caller runs itself already
+  // carry its context.
   const obs::QueryContext context = obs::CurrentQueryContext();
   const bool tagged = context.query_id != 0 || context.shard >= 0;
   const std::function<void(std::size_t)> wrapped =
@@ -135,49 +195,48 @@ void Executor::Run(std::size_t workers,
                      fn(id);
                    })
              : nullptr;
-  std::lock_guard<std::mutex> run_lock(run_mutex_);
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
+  Job job;
+  job.fn = tagged ? &wrapped : &fn;
+  job.slots = workers;
+  std::size_t wakes = 0;
+  {
+    std::lock_guard<verify::Mutex> lock(mutex_);
+    ++dispatches_;
+    open_.push_back(&job);
+    // One wake-up per open pool slot, and only for threads no other Run
+    // has already woken.
+    wakes = std::min(workers - 1, idle_);
+    idle_ -= wakes;
+    wakes_ += wakes;
+  }
   Metrics().dispatches.Add();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    task_ = tagged ? &wrapped : &fn;
-    task_workers_ = workers;
-    next_worker_ = 1;  // Slot 0 belongs to the calling thread.
-    completed_ = 0;
-    pool_slots_ = workers - 1;
-    first_exception_ = nullptr;
-    ++generation_;
-  }
-  work_cv_.notify_all();
+  for (std::size_t i = 0; i < wakes; ++i) work_cv_.notify_one();
 
-  std::exception_ptr caller_exception;
-  try {
-    fn(0);
-  } catch (...) {
-    caller_exception = std::current_exception();
+  std::exception_ptr caller_error = RunSlot(fn, 0);
+  std::unique_lock<verify::Mutex> lock(mutex_);
+  // Help: run the slots no pool thread claimed yet instead of waiting for
+  // one to come free.
+  while (job.next_slot < job.slots) {
+    const std::size_t slot = ClaimLocked(job);
+    lock.unlock();
+    std::exception_ptr error = RunSlot(fn, slot);
+    if (!caller_error) caller_error = std::move(error);
+    lock.lock();
   }
-
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return completed_ == pool_slots_; });
-    task_ = nullptr;
-    task_workers_ = 0;
-    error = first_exception_ ? first_exception_ : caller_exception;
-    first_exception_ = nullptr;
-  }
+  job.done.wait(lock, [&job] { return job.Finished(); });
+  std::exception_ptr error = job.error ? job.error : caller_error;
+  lock.unlock();
   if (error) std::rethrow_exception(error);
 }
 
 std::vector<WorkerStats> Executor::Stats() const {
-  std::vector<WorkerStats> stats(counters_.size());
-  for (std::size_t t = 0; t < counters_.size(); ++t) {
-    stats[t].tasks_run = counters_[t].tasks_run.load(std::memory_order_relaxed);
-    stats[t].steals = counters_[t].steals.load(std::memory_order_relaxed);
-    stats[t].parks = counters_[t].parks.load(std::memory_order_relaxed);
-    stats[t].unparks = counters_[t].unparks.load(std::memory_order_relaxed);
-  }
-  return stats;
+  std::lock_guard<verify::Mutex> lock(mutex_);
+  return stats_;
+}
+
+std::uint64_t Executor::dispatches() const {
+  std::lock_guard<verify::Mutex> lock(mutex_);
+  return dispatches_;
 }
 
 Executor& Executor::Default() {

@@ -88,9 +88,10 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
   for (auto& flag : failed) flag.store(false);
 
   OrphanQueue orphans;
-  // Workers currently holding a claimed batch. A worker may only exit when
-  // the dispatcher is dry, no orphans are queued, AND nothing is in
-  // flight — an in-flight batch can still be orphaned by a dying group.
+  // Workers currently holding a claimed batch. When groups can die (an
+  // injector is set), a worker may only exit when the dispatcher is dry,
+  // no orphans are queued, AND nothing is in flight — an in-flight batch
+  // can still be orphaned by a dying group.
   std::atomic<std::size_t> in_flight{0};
 
   // Flatten the groups' workers into executor slots: slot -> group. The
@@ -121,12 +122,14 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
           from_orphan = batch.has_value();
         }
         if (!batch) {
-          // Nothing claimable right now. Safe to exit only once no other
-          // worker holds a batch (it could die and orphan it) and the
-          // orphan queue stayed empty after that observation.
+          // Nothing claimable right now. Without an injector no group can
+          // die, so nothing can be orphaned and a dry dispatcher is final.
+          // With one, exit only once no other worker holds a batch (it
+          // could die and orphan it) and the orphan queue stayed empty
+          // after that observation.
           const std::size_t others =
               in_flight.fetch_sub(1, std::memory_order_acq_rel) - 1;
-          if (others == 0 && orphans.Empty()) {
+          if (injector == nullptr || (others == 0 && orphans.Empty())) {
             // Happens-before: every orphan Push precedes its worker's
             // in_flight release, so with no batch in flight and the
             // queue empty, every orphaned batch has been adopted.

@@ -82,9 +82,11 @@ class QueryHandle {
 struct EngineOptions {
   /// Scheduler threads executing admitted queries. Each runs one query
   /// at a time through plan::ExecutePlan; the queries share the
-  /// process-wide persistent exec::Executor pool, which serializes their
-  /// fork-join phases — concurrent plans interleave at phase granularity
-  /// rather than oversubscribing the machine.
+  /// process-wide persistent exec::Executor pool, which runs their
+  /// fork-join phases at once — each phase is a job whose caller runs
+  /// its own slots when no pool thread is free, so concurrent plans
+  /// share the pool's threads rather than oversubscribing the machine
+  /// or queueing for the whole pool.
   std::size_t session_threads = 2;
   /// Bound on admitted-but-not-started queries. A Submit that finds the
   /// queue full is shed with kResourceExhausted — load is rejected at

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/cancel.h"
@@ -14,6 +15,7 @@
 #include "engine/executor.h"
 #include "engine/query.h"
 #include "engine/table.h"
+#include "exec/executor.h"
 #include "exec/morsel.h"
 #include "obs/trace.h"
 #include "plan/build_cache.h"
@@ -252,6 +254,80 @@ void MorselCoverageModel() {
 }
 
 // ---------------------------------------------------------------------
+// exec::Executor — one pool, many jobs: two callers each Run(3) on a
+// private 2-thread pool, as the serving engine's session threads share
+// the process-wide one. Every slot of every job runs exactly once, Run
+// returns only after all of its slots ran, and a Run inside a slot runs
+// inline on that slot's thread.
+
+struct PoolJobRecord {
+  int ran[3] = {0, 0, 0};
+  bool nested_inline = false;
+};
+
+/// One caller's Run(3), checked the moment it returns: no sequence point
+/// lies between the return and the check, so a barrier that released
+/// early is seen before the late slot can finish.
+void RunPoolJob(exec::Executor& pool,
+                const std::function<void(std::size_t)>& slot_fn,
+                const PoolJobRecord& record) {
+  // The job lives in Run's frame, below this one. Under the
+  // exec.pool.early_release mutant a pool thread can still record its
+  // completion there after Run returned; the pad keeps the frames this
+  // thread enters next (joins, thread exit) above that dead job.
+  volatile char pad[16 * 1024];
+  pad[0] = 0;
+  pad[sizeof(pad) - 1] = 0;
+  pool.Run(3, slot_fn);
+  for (const int ran : record.ran) {
+    VERIFY_INVARIANT(ran == 1,
+                     "Run returned before every slot of its job ran "
+                     "exactly once");
+  }
+}
+
+void ExecutorJobsModel() {
+  PoolJobRecord records[2];
+  // A sequence point in every slot, so the explorer interleaves slot
+  // bodies with claims, completions and wake-ups.
+  Atomic<int> slot_steps{0};
+  exec::Executor* pool = nullptr;
+  const auto slot_fn = [&](PoolJobRecord* record) {
+    return std::function<void(std::size_t)>([&, record](std::size_t slot) {
+      slot_steps.fetch_add(1);
+      if (slot == 1) {
+        const std::thread::id outer = std::this_thread::get_id();
+        int inner = 0;
+        bool same_thread = true;
+        pool->Run(2, [&](std::size_t) {
+          ++inner;
+          same_thread = same_thread && std::this_thread::get_id() == outer;
+        });
+        record->nested_inline = inner == 2 && same_thread;
+      }
+      // Model threads serialize, so a plain increment counts exactly.
+      ++record->ran[slot];
+    });
+  };
+  // The slot functions outlive the pool, whose destructor joins its
+  // threads: a pool thread never calls a destroyed function.
+  const std::function<void(std::size_t)> jobs[2] = {slot_fn(&records[0]),
+                                                    slot_fn(&records[1])};
+  exec::Executor executor(2);
+  pool = &executor;
+  Thread second([&] { RunPoolJob(executor, jobs[1], records[1]); });
+  RunPoolJob(executor, jobs[0], records[0]);
+  second.join();
+  for (const PoolJobRecord& record : records) {
+    VERIFY_INVARIANT(record.nested_inline,
+                     "a Run inside a slot did not run inline on that "
+                     "slot's thread");
+  }
+  VERIFY_INVARIANT(executor.dispatches() == 2,
+                   "a nested Run dispatched to the pool");
+}
+
+// ---------------------------------------------------------------------
 // server::QueryEngine — admission queue and handle resolution: every
 // admitted query resolves exactly once, budget bookkeeping returns to
 // zero, and the client's Wait never hangs (a lost wakeup in the
@@ -417,6 +493,7 @@ const std::vector<Model>& Models() {
       {"plan.cache.eviction", BuildCacheEvictionModel, 1'500, 200},
       {"common.cancel.latch", CancelLatchModel, 800, 100},
       {"exec.morsel.coverage", MorselCoverageModel, 1'200, 200},
+      {"exec.pool.jobs", ExecutorJobsModel, 2'000, 300},
       {"server.engine.admission", QueryEngineAdmissionModel, 2'500, 400},
       {"server.engine.budget", QueryEngineBudgetModel, 2'000, 300},
       {"server.handle.resolve", QueryHandleResolveModel, 1'500, 300},
@@ -431,6 +508,7 @@ const std::vector<Mutant>& Mutants() {
       {"plan.cache.drop_failed_result", "plan.cache.failure_propagation"},
       {"common.cancel.latch_blind_store", "common.cancel.latch"},
       {"exec.morsel.unsaturated_claim", "exec.morsel.coverage"},
+      {"exec.pool.early_release", "exec.pool.jobs"},
       {"server.handle.notify_before_done", "server.handle.resolve"},
       {"server.budget.leak_on_release", "server.engine.budget"},
       {"obs.trace.count_before_slot", "obs.trace.ring"},

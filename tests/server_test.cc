@@ -15,12 +15,14 @@
 #include "engine/executor.h"
 #include "engine/ssb.h"
 #include "engine/table.h"
+#include "exec/executor.h"
 #include "gtest/gtest.h"
 #include "hw/system_profile.h"
 #include "hw/topology.h"
 #include "obs/metrics.h"
 #include "plan/build_cache.h"
 #include "plan/compiler.h"
+#include "oracle.h"
 #include "server/query_engine.h"
 
 namespace pump {
@@ -836,6 +838,69 @@ TEST(QueryEngineTest, ConcurrentSubmittersAllResolve) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(engine.stats().completed, kSubmitters * kPerSubmitter);
+}
+
+TEST(QueryEngineTest, ConcurrentSessionsShareThePool) {
+  // Two session threads probe at once through the one executor pool. At
+  // 250k rows a probe is three 100k-tuple morsels, so every query
+  // dispatches pool slots (20k-row probes above are one morsel and run
+  // inline); GPU-preferred plans probe heterogeneously, CPU slots plus a
+  // GPU proxy slot.
+  static const engine::SsbDatabase db =
+      engine::SsbDatabase::Generate(250'000, /*seed=*/7);
+  const engine::Query queries[] = {engine::SsbQ1(db), engine::SsbQ2(db),
+                                   engine::SsbQ3(db)};
+  const engine::QueryResult expected[] = {test::Oracle(queries[0]),
+                                          test::Oracle(queries[1]),
+                                          test::Oracle(queries[2])};
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kPerSubmitter = 3;
+  for (const plan::PlacementPolicy policy :
+       {plan::PlacementPolicy::kCpuOnly,
+        plan::PlacementPolicy::kGpuPreferred}) {
+    for (const std::size_t workers : {2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "policy " << static_cast<int>(policy) << ", workers "
+                   << workers);
+      server::EngineOptions options;
+      options.session_threads = 2;
+      options.queue_capacity = 64;
+      options.policy = policy;
+      server::QueryEngine engine(options);
+      const std::uint64_t dispatches_before =
+          exec::Executor::Default().dispatches();
+      std::atomic<int> mismatches{0};
+      std::atomic<int> errors{0};
+      std::vector<std::thread> submitters;
+      for (std::size_t t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&, t] {
+          for (std::size_t q = 0; q < kPerSubmitter; ++q) {
+            const std::size_t pick = (t + q) % 3;
+            server::SubmitOptions submit;
+            submit.workers = workers;
+            Result<std::shared_ptr<server::QueryHandle>> handle =
+                engine.Submit(queries[pick], submit);
+            if (!handle.ok()) {
+              errors.fetch_add(1);
+              continue;
+            }
+            const Result<engine::ExecReport>& report = handle.value()->Wait();
+            if (!report.ok()) {
+              errors.fetch_add(1);
+            } else if (!(report.value().result == expected[pick])) {
+              mismatches.fetch_add(1);
+            }
+          }
+        });
+      }
+      for (std::thread& submitter : submitters) submitter.join();
+      EXPECT_EQ(errors.load(), 0);
+      EXPECT_EQ(mismatches.load(), 0);
+      EXPECT_EQ(engine.stats().completed, kSubmitters * kPerSubmitter);
+      EXPECT_GE(exec::Executor::Default().dispatches() - dispatches_before,
+                kSubmitters * kPerSubmitter);
+    }
+  }
 }
 
 }  // namespace
