@@ -1,7 +1,9 @@
 #ifndef PUMP_ENGINE_TABLE_H_
 #define PUMP_ENGINE_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -10,10 +12,18 @@
 
 namespace pump::engine {
 
+/// The smallest and largest value of a column; an empty column reads
+/// min 0, max -1 (an empty domain).
+struct ColumnRange {
+  std::int64_t min = 0;
+  std::int64_t max = -1;
+};
+
 /// A named, column-oriented table of 64-bit integer columns — the storage
 /// unit of the engine layer. Narrow integer columns match the paper's
 /// workloads (Sec. 7.1) and keep the executor simple; wider types would
-/// dictionary-encode into this representation.
+/// dictionary-encode into this representation. Move-only: each column
+/// keeps its memoized range beside its values.
 class Table {
  public:
   Table() = default;
@@ -30,7 +40,7 @@ class Table {
     }
     rows_ = values.size();
     order_.push_back(name);
-    columns_.emplace(name, std::move(values));
+    columns_.try_emplace(name, std::move(values));
     return Status::OK();
   }
 
@@ -41,7 +51,29 @@ class Table {
     if (it == columns_.end()) {
       return Status::NotFound("no column '" + name + "'");
     }
-    return &it->second;
+    return &it->second.values;
+  }
+
+  /// The column's range, computed in one pass the first time it is asked
+  /// for and kept: columns are immutable once added, and computing it in
+  /// AddColumn would make every fact column nobody joins on pay the pass.
+  /// Thread-safe, so concurrent compiles may share the table.
+  Result<ColumnRange> Range(const std::string& name) const {
+    auto it = columns_.find(name);
+    if (it == columns_.end()) {
+      return Status::NotFound("no column '" + name + "'");
+    }
+    const Stored& column = it->second;
+    std::call_once(column.range_once, [&column] {
+      if (column.values.empty()) return;
+      ColumnRange range{column.values.front(), column.values.front()};
+      for (const std::int64_t value : column.values) {
+        range.min = std::min(range.min, value);
+        range.max = std::max(range.max, value);
+      }
+      column.range = range;
+    });
+    return column.range;
   }
 
   /// True when the column exists.
@@ -59,9 +91,19 @@ class Table {
   std::uint64_t bytes() const { return rows_ * column_count() * 8; }
 
  private:
+  struct Stored {
+    explicit Stored(std::vector<std::int64_t> column)
+        : values(std::move(column)) {}
+
+    std::vector<std::int64_t> values;
+    mutable std::once_flag range_once;
+    /// Written once, under `range_once`.
+    mutable ColumnRange range;
+  };
+
   std::size_t rows_ = 0;
   std::vector<std::string> order_;
-  std::unordered_map<std::string, std::vector<std::int64_t>> columns_;
+  std::unordered_map<std::string, Stored> columns_;
 };
 
 }  // namespace pump::engine

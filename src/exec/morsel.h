@@ -61,6 +61,17 @@ class MorselDispatcher {
   /// Total input size.
   std::size_t total() const { return total_; }
 
+  /// Worker slots to open for up to `workers` workers: at least one and
+  /// no more than there are morsels, since a slot that finds the
+  /// dispatcher dry only costs a wake-up and a wait at the barrier. A
+  /// one-morsel input thus runs inline on the caller.
+  std::size_t Slots(std::size_t workers) const {
+    const std::size_t morsels =
+        (total_ + morsel_tuples_ - 1) / morsel_tuples_;
+    return std::clamp<std::size_t>(morsels, 1,
+                                   std::max<std::size_t>(1, workers));
+  }
+
   /// Successful claims so far (debug builds only; 0 in release). Used by
   /// the scheduler's exactly-once ledger assertion.
   std::uint64_t hb_claims() const { return hb_claims_.Load(); }

@@ -9,6 +9,13 @@ namespace pump::exec {
 
 void ParallelFor(std::size_t workers,
                  const std::function<void(std::size_t)>& fn) {
+  // One worker runs inline without starting the process-wide pool, so a
+  // single-worker phase (a one-morsel build inside a verifier model, say)
+  // creates no threads.
+  if (workers <= 1) {
+    fn(0);
+    return;
+  }
   Executor::Default().Run(workers, fn);
 }
 

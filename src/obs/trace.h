@@ -174,16 +174,29 @@ class TraceSpan {
   }
   ~TraceSpan() {
     if (active_) {
-      TraceRecorder::Instance().Record(category_, name_, 'E');
+      TraceRecorder::Instance().Record(category_, name_, 'E', end_arg0_,
+                                       end_arg1_, has_end_args_);
     }
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
+  /// Args for the closing 'E' event, for a payload known only when the
+  /// span ends (the tuples a morsel worker claimed). Trace viewers merge
+  /// them into the slice's args.
+  void SetEndArgs(double arg0, double arg1) {
+    end_arg0_ = arg0;
+    end_arg1_ = arg1;
+    has_end_args_ = true;
+  }
+
  private:
   bool active_;
+  bool has_end_args_ = false;
   TraceCategory category_;
   const char* name_;
+  double end_arg0_ = 0.0;
+  double end_arg1_ = 0.0;
 };
 
 /// Records a zero-duration instant event (fault fired, retry charged,
@@ -206,10 +219,17 @@ inline void TraceInstant(TraceCategory category, const char* name,
 #define PUMP_TRACE_SPAN(...)                                        \
   ::pump::obs::TraceSpan PUMP_TRACE_CONCAT_(pump_trace_span_,       \
                                             __COUNTER__)(__VA_ARGS__)
+/// Opens an RAII span called `var` for the rest of the enclosing scope,
+/// so the scope can set its end args with PUMP_TRACE_END_ARGS.
+#define PUMP_TRACE_NAMED_SPAN(var, ...) ::pump::obs::TraceSpan var(__VA_ARGS__)
+/// Sets the end args of the named span `var` (TraceSpan::SetEndArgs).
+#define PUMP_TRACE_END_ARGS(var, arg0, arg1) (var).SetEndArgs(arg0, arg1)
 /// Records an instant event.
 #define PUMP_TRACE_INSTANT(...) ::pump::obs::TraceInstant(__VA_ARGS__)
 #else
 #define PUMP_TRACE_SPAN(...) ((void)0)
+#define PUMP_TRACE_NAMED_SPAN(var, ...) ((void)0)
+#define PUMP_TRACE_END_ARGS(var, arg0, arg1) ((void)0)
 #define PUMP_TRACE_INSTANT(...) ((void)0)
 #endif
 

@@ -40,7 +40,9 @@ std::string BuildCache::KeyFor(const BuildPipeline& build) {
   // (a serving catalog keeps dimension tables resident, so identity is
   // stable; the row count guards against a reused address with different
   // contents). The rest pins the build semantics: same key => the built
-  // tables would be byte-identical.
+  // tables answer every lookup identically. They need not be
+  // byte-identical: a linear-probing table built by several workers
+  // places colliding keys in insertion order.
   std::string key =
       std::to_string(reinterpret_cast<std::uintptr_t>(build.dimension));
   key += '/';
@@ -60,7 +62,8 @@ std::string BuildCache::KeyFor(const BuildPipeline& build) {
 }
 
 Result<std::shared_ptr<const DimensionTable>> BuildCache::GetOrBuild(
-    const BuildPipeline& build, bool* hit) {
+    const BuildPipeline& build, bool* hit, std::size_t workers,
+    std::size_t morsel_tuples) {
   if (hit != nullptr) *hit = false;
   const std::string key = KeyFor(build);
   std::shared_ptr<Flight> flight;
@@ -101,7 +104,8 @@ Result<std::shared_ptr<const DimensionTable>> BuildCache::GetOrBuild(
   PUMP_TRACE_SPAN(obs::TraceCategory::kPlan, "cache.build",
                   static_cast<double>(build.keys.rows),
                   static_cast<double>(build.table_bytes));
-  Result<DimensionTable> built = DimensionTable::Build(build);
+  Result<DimensionTable> built =
+      DimensionTable::Build(build, workers, morsel_tuples);
   Result<std::shared_ptr<const DimensionTable>> result =
       built.ok()
           ? Result<std::shared_ptr<const DimensionTable>>(

@@ -23,8 +23,11 @@ namespace pump::plan {
 /// Three properties matter for a serving runtime:
 ///  * **Keyed by build semantics.** The key covers the dimension table
 ///    identity (pointer + row count), the key column, the dimension
-///    filter, and the hash-table kind — two plans that would build
-///    byte-identical tables share an entry; anything else does not.
+///    filter, and the hash-table kind — two plans whose tables answer
+///    every lookup identically share an entry; anything else does not.
+///    Equal keys give lookup-identical tables, not byte-identical ones:
+///    several workers building a linear-probing table place colliding
+///    keys in insertion order, which varies from build to build.
 ///  * **Bounded.** Entries charge their modelled table bytes against
 ///    `capacity_bytes`; insertion evicts least-recently-used entries
 ///    until the new entry fits. Shared_ptr handles keep evicted tables
@@ -62,10 +65,14 @@ class BuildCache {
   BuildCache& operator=(const BuildCache&) = delete;
 
   /// Returns the cached table for `build`, building it (once, whatever
-  /// the concurrency) on a miss. `hit`, when non-null, reports whether
-  /// the table came from cache (true) or this call built/awaited it.
+  /// the concurrency) on a miss, on up to `workers` workers claiming
+  /// morsels of `morsel_tuples` rows (DimensionTable::Build). `hit`, when
+  /// non-null, reports whether the table came from cache (true) or this
+  /// call built/awaited it.
   Result<std::shared_ptr<const DimensionTable>> GetOrBuild(
-      const BuildPipeline& build, bool* hit = nullptr);
+      const BuildPipeline& build, bool* hit = nullptr,
+      std::size_t workers = 1,
+      std::size_t morsel_tuples = exec::kDefaultMorselTuples);
 
   /// Drops every resident entry (in-flight builds are unaffected).
   void Clear();

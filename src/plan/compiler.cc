@@ -75,15 +75,20 @@ Status Validate(const engine::Query& query, const QueryShape& shape) {
   return Status::OK();
 }
 
-KeyStats GatherKeyStats(const std::vector<std::int64_t>& keys) {
+/// Key statistics from the dimension's memoized column range, so only the
+/// first compile that reads a key column scans it. The density divides in
+/// double: max_key + 1 overflows int64 for a key column holding INT64_MAX.
+Result<KeyStats> KeyStatsOf(const engine::Table& dimension,
+                            const std::string& key_column) {
+  PUMP_ASSIGN_OR_RETURN(const engine::ColumnRange range,
+                        dimension.Range(key_column));
   KeyStats stats;
-  stats.rows = keys.size();
-  if (keys.empty()) return stats;
-  stats.min_key = *std::min_element(keys.begin(), keys.end());
-  stats.max_key = *std::max_element(keys.begin(), keys.end());
-  if (stats.min_key >= 0) {
+  stats.rows = dimension.rows();
+  stats.min_key = range.min;
+  stats.max_key = range.max;
+  if (stats.rows > 0 && stats.min_key >= 0) {
     stats.density = static_cast<double>(stats.rows) /
-                    static_cast<double>(stats.max_key + 1);
+                    (static_cast<double>(stats.max_key) + 1.0);
   }
   return stats;
 }
@@ -386,9 +391,8 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
     build.key_column = join.dim_key_column;
     build.dim_filter = join.dim_filter;
     build.has_dim_filter = join.has_dim_filter;
-    PUMP_ASSIGN_OR_RETURN(const auto* keys,
-                          join.dimension->Column(join.dim_key_column));
-    build.keys = GatherKeyStats(*keys);
+    PUMP_ASSIGN_OR_RETURN(build.keys,
+                          KeyStatsOf(*join.dimension, join.dim_key_column));
     build.placement =
         gpu_policy ? PipelinePlacement::kGpu : PipelinePlacement::kCpu;
     plan.builds.push_back(std::move(build));

@@ -160,9 +160,12 @@ Result<TableHandles> RunBuildPipelines(
     std::shared_ptr<const DimensionTable> table;
     if (options.build_cache != nullptr) {
       PUMP_ASSIGN_OR_RETURN(
-          table, options.build_cache->GetOrBuild(build, &cache_hit));
+          table, options.build_cache->GetOrBuild(
+                     build, &cache_hit, options.workers,
+                     options.morsel_tuples));
     } else {
-      Result<DimensionTable> built = DimensionTable::Build(build);
+      Result<DimensionTable> built = DimensionTable::Build(
+          build, options.workers, options.morsel_tuples);
       PUMP_RETURN_NOT_OK(built.status());
       table =
           std::make_shared<const DimensionTable>(std::move(built).value());
@@ -278,25 +281,19 @@ struct ProbeTotals {
 };
 
 /// The morsel driver of the CPU probe and of every shard's probe:
-/// up to `options.workers` workers claim morsels of `tuples` tuples from
-/// the central MorselDispatcher and run the probe loop on each — over rows
-/// [begin, end), or over `indices[begin, end)` when `indices` is set.
+/// up to `options.workers` workers, never more than there are morsels,
+/// claim morsels of `tuples` tuples from the central MorselDispatcher and
+/// run the probe loop on each — over rows [begin, end), or over
+/// `indices[begin, end)` when `indices` is set.
 /// Workers poll the cancel token before every claim, so a cancelled
 /// query stops within one morsel per worker; the caller checks the token
 /// afterwards.
 void DriveMorsels(const BoundProbe& bound, const std::uint32_t* indices,
                   std::size_t tuples, const engine::ExecOptions& options,
                   ProbeTotals* totals) {
-  // No more workers than morsels: a worker that finds the dispatcher dry
-  // only costs a wake-up and a wait at the barrier, and a one-morsel probe
-  // runs inline.
-  const std::size_t morsel_tuples =
-      std::max<std::size_t>(1, options.morsel_tuples);
-  const std::size_t morsels = (tuples + morsel_tuples - 1) / morsel_tuples;
-  const std::size_t workers = std::clamp<std::size_t>(
-      morsels, 1, std::max<std::size_t>(1, options.workers));
   const CancelToken* cancel = options.cancel;
-  exec::MorselDispatcher dispatcher(tuples, morsel_tuples);
+  exec::MorselDispatcher dispatcher(tuples, options.morsel_tuples);
+  const std::size_t workers = dispatcher.Slots(options.workers);
   // The worker id only tags the span (compiled out without tracing).
   exec::ParallelFor(workers, [&]([[maybe_unused]] std::size_t w) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.probe",

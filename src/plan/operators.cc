@@ -1,46 +1,103 @@
 #include "plan/operators.h"
 
 #include <algorithm>
+#include <atomic>
 
+#include "exec/morsel.h"
+#include "exec/parallel.h"
 #include "obs/trace.h"
 
 namespace pump::plan {
 
-Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build) {
-  PUMP_ASSIGN_OR_RETURN(const auto* keys,
-                        build.dimension->Column(build.key_column));
-  PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.build",
-                  static_cast<double>(keys->size()),
-                  static_cast<double>(static_cast<int>(build.table_kind)));
-  const std::vector<std::int64_t>* filter_column = nullptr;
-  if (build.has_dim_filter) {
-    PUMP_ASSIGN_OR_RETURN(filter_column,
-                          build.dimension->Column(build.dim_filter.column));
+namespace {
+
+/// Inserts the keys of the `alive` selected rows into `table`, each
+/// mapped to 1; stops at the first key the table rejects.
+template <typename HashTable>
+Status InsertSelected(HashTable* table, const std::int64_t* keys,
+                      const std::size_t* selection, std::size_t alive) {
+  for (std::size_t n = 0; n < alive; ++n) {
+    PUMP_RETURN_NOT_OK(table->Insert(keys[selection[n]], 1));
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build,
+                                             std::size_t workers,
+                                             std::size_t morsel_tuples) {
+  PUMP_ASSIGN_OR_RETURN(const auto* key_column,
+                        build.dimension->Column(build.key_column));
+  const std::int64_t* filter = nullptr;
+  if (build.has_dim_filter) {
+    PUMP_ASSIGN_OR_RETURN(const auto* filter_column,
+                          build.dimension->Column(build.dim_filter.column));
+    filter = filter_column->data();
+  }
+  const std::int64_t* keys = key_column->data();
 
   DimensionTable table;
   table.kind_ = build.table_kind;
   if (build.table_kind == HashTableKind::kLinearProbing) {
-    table.linear_.emplace(std::max<std::size_t>(1, keys->size()));
+    table.linear_.emplace(std::max<std::size_t>(1, key_column->size()));
   } else {
     // Perfect (and hybrid, whose probe layout is the same perfect table):
     // slot = key over the dense domain [0, max_key].
     table.perfect_.emplace(static_cast<std::size_t>(build.keys.max_key + 1));
   }
 
-  for (std::size_t i = 0; i < keys->size(); ++i) {
-    if (filter_column != nullptr &&
-        !ops::Compare(build.dim_filter.op, (*filter_column)[i],
-                      build.dim_filter.literal)) {
-      continue;
+  // Every slot CAS-inserts into the one table. A slot stops at its first
+  // rejected key and the others stop claiming, so a duplicate or sentinel
+  // key fails the build whichever slot meets it.
+  exec::MorselDispatcher dispatcher(key_column->size(), morsel_tuples);
+  const std::size_t slots = dispatcher.Slots(workers);
+  std::vector<Status> errors(slots);
+  std::atomic<bool> failed{false};
+  std::atomic<std::size_t> entries{0};
+  exec::ParallelFor(slots, [&](std::size_t slot) {
+    PUMP_TRACE_NAMED_SPAN(span, obs::TraceCategory::kHash, "hash.build");
+    std::size_t selection[kProbeBlockTuples] = {};
+    // Claimed tuples only tag the span (compiled out without tracing).
+    [[maybe_unused]] std::size_t claimed = 0;
+    std::size_t inserted = 0;
+    Status status;
+    while (status.ok() && !failed.load(std::memory_order_relaxed)) {
+      const auto morsel = dispatcher.Next();
+      if (!morsel) break;
+      claimed += morsel->size();
+      for (std::size_t base = morsel->begin; status.ok() && base < morsel->end;
+           base += kProbeBlockTuples) {
+        std::size_t alive = std::min(kProbeBlockTuples, morsel->end - base);
+        for (std::size_t n = 0; n < alive; ++n) selection[n] = base + n;
+        if (filter != nullptr) {
+          std::size_t kept = 0;
+          for (std::size_t n = 0; n < alive; ++n) {
+            const std::size_t row = selection[n];
+            selection[kept] = row;
+            kept += ops::Compare(build.dim_filter.op, filter[row],
+                                 build.dim_filter.literal);
+          }
+          alive = kept;
+        }
+        status = table.perfect_.has_value()
+                     ? InsertSelected(&*table.perfect_, keys, selection, alive)
+                     : InsertSelected(&*table.linear_, keys, selection, alive);
+        inserted += alive;
+      }
     }
-    if (table.perfect_.has_value()) {
-      PUMP_RETURN_NOT_OK(table.perfect_->Insert((*keys)[i], 1));
-    } else {
-      PUMP_RETURN_NOT_OK(table.linear_->Insert((*keys)[i], 1));
+    PUMP_TRACE_END_ARGS(span, static_cast<double>(slot),
+                        static_cast<double>(claimed));
+    entries.fetch_add(inserted, std::memory_order_relaxed);
+    if (!status.ok()) {
+      errors[slot] = std::move(status);
+      failed.store(true, std::memory_order_relaxed);
     }
-    ++table.entries_;
+  });
+  for (Status& error : errors) {
+    if (!error.ok()) return std::move(error);
   }
+  table.entries_ = entries.load(std::memory_order_relaxed);
   return table;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "exec/morsel.h"
 #include "hash/hash_table.h"
 #include "plan/plan.h"
 
@@ -24,11 +25,18 @@ namespace pump::plan {
 /// plan executor accounts separately.
 class DimensionTable {
  public:
-  /// Builds the table from the pipeline's dimension column (applying the
-  /// dimension filter, if any). Fails with AlreadyExists on duplicate
-  /// qualifying keys, and with InvalidArgument on a qualifying key the
-  /// chosen table cannot store (the linear-probing sentinel -1).
-  static Result<DimensionTable> Build(const BuildPipeline& build);
+  /// Builds the table from the pipeline's dimension column on up to
+  /// `workers` workers of the shared pool, never more than there are
+  /// morsels of `morsel_tuples` dimension rows (so a one-morsel build runs
+  /// inline). Each worker claims morsels from one MorselDispatcher,
+  /// narrows each block's selection vector with the dimension filter, as
+  /// the probe loop does, and CAS-inserts the survivors into the one
+  /// table. Fails with AlreadyExists on duplicate qualifying keys, and
+  /// with InvalidArgument on a qualifying key the chosen table cannot
+  /// store (the linear-probing sentinel -1), whichever worker meets it.
+  static Result<DimensionTable> Build(
+      const BuildPipeline& build, std::size_t workers = 1,
+      std::size_t morsel_tuples = exec::kDefaultMorselTuples);
 
   /// The semi-join probe of `count` keys: sets `found[i]` when `keys[i]`
   /// was inserted (and `values[i]` to its payload, 1) and returns the

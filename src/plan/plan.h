@@ -114,8 +114,9 @@ struct Operator {
   std::size_t build_index = 0;
 };
 
-/// Key-domain statistics of one dimension join key, gathered at compile
-/// time; they drive the hash-table choice.
+/// Key-domain statistics of one dimension join key, read at compile time
+/// from the key column's memoized range (engine::Table::Range); they
+/// drive the hash-table choice.
 struct KeyStats {
   std::int64_t min_key = 0;
   std::int64_t max_key = -1;

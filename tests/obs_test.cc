@@ -730,6 +730,59 @@ TEST(ShardTraceTest, EveryShardRecordsProbeSpansForItsQuery) {
   }
 }
 
+// A dimension build runs on the query's workers: each build slot records
+// one hash.build span under the query's id, whose end args name the slot
+// and the dimension rows it claimed, so the slots' claims add up to the
+// dimension.
+TEST(BuildTraceTest, EveryBuildSlotRecordsTheRowsItClaimed) {
+  constexpr std::size_t kRows = 10'000;
+  std::vector<std::int64_t> keys;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    keys.push_back(static_cast<std::int64_t>(i));
+  }
+  engine::Table dim;
+  ASSERT_TRUE(dim.AddColumn("d_key", keys).ok());
+  engine::Table fact;
+  ASSERT_TRUE(fact.AddColumn("f_key", {1, 2, 3}).ok());
+  ASSERT_TRUE(fact.AddColumn("f_measure", {1, 1, 1}).ok());
+  engine::Query query;
+  query.fact = &fact;
+  query.measure_column = "f_measure";
+  engine::JoinClause join;
+  join.fact_key_column = "f_key";
+  join.dimension = &dim;
+  join.dim_key_column = "d_key";
+  query.joins.push_back(join);
+  Result<plan::PhysicalPlan> physical = plan::Compile(query);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+
+  constexpr std::uint64_t kQueryId = 91;
+  engine::ExecOptions options;
+  options.workers = 4;
+  options.morsel_tuples = 1'000;  // Ten morsels: four build slots.
+  options.query_id = kQueryId;
+  ScopedTracing tracing;
+  Result<engine::ExecReport> report =
+      plan::ExecutePlan(physical.value(), options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  if (MacrosCompiledOut()) return;
+  std::vector<bool> slot_seen(options.workers, false);
+  double claimed = 0.0;
+  for (const obs::TraceEvent& build :
+       EventsNamed(TraceRecorder::Instance().Snapshot(), "hash.build")) {
+    if (build.phase != 'E') continue;  // Begin events carry no args.
+    EXPECT_EQ(build.query_id, kQueryId);
+    ASSERT_TRUE(build.has_args);
+    const auto slot = static_cast<std::size_t>(build.arg0);
+    ASSERT_LT(slot, slot_seen.size());
+    EXPECT_FALSE(slot_seen[slot]) << "slot " << slot << " traced twice";
+    slot_seen[slot] = true;
+    claimed += build.arg1;
+  }
+  EXPECT_EQ(slot_seen, std::vector<bool>(options.workers, true));
+  EXPECT_EQ(claimed, static_cast<double>(kRows));
+}
+
 // Satellite regression: a mid-query ladder re-placement must not erase
 // the per-pipeline outcome rows — the report still says which placement
 // was tried and which produced the result.

@@ -6,10 +6,12 @@
 // diagnostics, the structural plan self-check, build-pipeline caching
 // across the degradation ladder, and the JSON dump.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -266,6 +268,8 @@ TEST(EdgeInputTest, HandBuiltQueriesMatchOracle) {
        {0, 2},
        {},
        {kMax - 1, 5, kMax - 1}},
+      {"INT64_MAX dimension key", {5, kMax, 1, 0, kMax}, {0, 5, kMax}, {},
+       {}},
   };
 
   // Block and morsel boundaries: fact sizes around the probe block width
@@ -326,10 +330,14 @@ TEST(EdgeInputTest, HandBuiltQueriesMatchOracle) {
                                 {kMax - 1, 5, kMax - 1})),
             (engine::QueryResult{2, wrapped}));
 
-  // Both dimensions build the table kind they are meant to cover.
+  // Both dimensions build the table kind they are meant to cover, and a
+  // key domain reaching INT64_MAX is sparse (its density is computed
+  // without the signed overflow of max_key + 1).
+  std::vector<std::int64_t> extreme_keys = {0, 5, kMax};
   for (const auto& [dim_keys, kind] :
        {std::pair{&dense_keys, HashTableKind::kPerfect},
-        std::pair{&sparse_keys, HashTableKind::kLinearProbing}}) {
+        std::pair{&sparse_keys, HashTableKind::kLinearProbing},
+        std::pair{&extreme_keys, HashTableKind::kLinearProbing}}) {
     engine::Table kind_fact;
     engine::Table kind_dim;
     const engine::Query query =
@@ -375,6 +383,238 @@ TEST(EdgeInputTest, SentinelDimensionKeyFailsInsteadOfDroppingRows) {
     const auto got = RunEdge(filtered, placement);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(got.value(), Oracle(filtered));
+  }
+}
+
+// ---------------------------------------------------------------------
+// Parallel dimension builds: morsels of a few blocks claimed by 1, 2 and
+// 4 workers inserting into one table. Each case holds one kind of bad
+// key, so the error code does not depend on which worker meets it.
+
+constexpr std::size_t kBuildRows = 10'000;
+/// One and a half build blocks plus one row: seven morsels per dimension,
+/// each ending in the middle of a block.
+constexpr std::size_t kBuildMorsel =
+    kProbeBlockTuples + kProbeBlockTuples / 2 + 1;
+
+/// Dimension keys 0..kBuildRows-1 (dense, a perfect table) or 8 times
+/// that (sparse, linear probing), in a fixed scrambled order so
+/// neighbouring rows land in different table regions. d_flag keeps two
+/// rows in three.
+struct BuildDimension {
+  std::vector<std::int64_t> keys;
+  std::vector<std::int64_t> flags;
+};
+
+BuildDimension MakeBuildDimension(bool dense) {
+  BuildDimension dim;
+  for (std::size_t i = 0; i < kBuildRows; ++i) {
+    const auto key = static_cast<std::int64_t>((i * 7919) % kBuildRows);
+    dim.keys.push_back(dense ? key : 8 * key);
+    dim.flags.push_back(i % 3 != 0 ? 1 : 0);
+  }
+  return dim;
+}
+
+/// Fact keys covering the dimension's domain and a little beyond.
+std::vector<std::int64_t> BuildFactKeys(bool dense) {
+  std::vector<std::int64_t> keys;
+  for (std::size_t i = 0; i < 3 * kBuildRows; ++i) {
+    const auto key = static_cast<std::int64_t>((i * 104729) %
+                                               (kBuildRows + 100));
+    keys.push_back(dense ? key : 8 * key);
+  }
+  return keys;
+}
+
+/// Measures for BuildFactKeys' rows.
+std::vector<std::int64_t> BuildFactMeasures() {
+  std::vector<std::int64_t> measures;
+  for (std::size_t i = 0; i < 3 * kBuildRows; ++i) {
+    measures.push_back(static_cast<std::int64_t>(i % 1000) - 300);
+  }
+  return measures;
+}
+
+/// Builds the compiled one-join query's dimension directly, on `workers`
+/// workers with kBuildMorsel-row morsels.
+Result<DimensionTable> BuildDirect(const engine::Query& query,
+                                   std::size_t workers) {
+  PUMP_ASSIGN_OR_RETURN(const PhysicalPlan plan, Compile(query));
+  return DimensionTable::Build(plan.builds.front(), workers, kBuildMorsel);
+}
+
+/// Executes the compiled query on the CPU with `workers` workers and
+/// kBuildMorsel-row morsels, so its build runs in parallel too.
+Result<engine::QueryResult> RunWithWorkers(const engine::Query& query,
+                                           std::size_t workers) {
+  PUMP_ASSIGN_OR_RETURN(const PhysicalPlan plan, Compile(query));
+  engine::ExecOptions options;
+  options.workers = workers;
+  options.morsel_tuples = kBuildMorsel;
+  PUMP_ASSIGN_OR_RETURN(const engine::ExecReport report,
+                        ExecutePlan(plan, options));
+  return report.result;
+}
+
+TEST(ParallelBuildTest, MultiMorselBuildsMatchOracleAtEveryWorkerCount) {
+  for (const bool dense : {true, false}) {
+    for (const bool filtered : {false, true}) {
+      const BuildDimension dim_data = MakeBuildDimension(dense);
+      engine::Table fact;
+      engine::Table dim;
+      const engine::Query query = OneJoinQuery(
+          &fact, &dim, BuildFactKeys(dense), dim_data.keys,
+          filtered ? dim_data.flags : std::vector<std::int64_t>{},
+          BuildFactMeasures());
+      const std::size_t qualifying =
+          filtered ? kBuildRows - (kBuildRows + 2) / 3 : kBuildRows;
+      for (const std::size_t workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::string(dense ? "dense" : "sparse") +
+                     (filtered ? " filtered" : "") +
+                     " workers=" + std::to_string(workers));
+        const auto table = BuildDirect(query, workers);
+        ASSERT_TRUE(table.ok()) << table.status();
+        EXPECT_EQ(table.value().kind(), dense ? HashTableKind::kPerfect
+                                              : HashTableKind::kLinearProbing);
+        EXPECT_EQ(table.value().entries(), qualifying);
+        const auto got = RunWithWorkers(query, workers);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got.value(), Oracle(query));
+      }
+    }
+  }
+}
+
+TEST(ParallelBuildTest, BadQualifyingKeysFailAtEveryWorkerCount) {
+  struct Case {
+    const char* name;
+    bool dense;
+    StatusCode code;
+    /// Rewrites the dimension: plants the bad key in qualifying rows.
+    void (*plant)(BuildDimension*);
+  };
+  const Case cases[] = {
+      // The first and the last row share a key: a duplicate split across
+      // the first and the last morsel.
+      {"duplicate, perfect", true, StatusCode::kAlreadyExists,
+       [](BuildDimension* dim) {
+         dim->keys.back() = dim->keys.front();
+         dim->flags.front() = dim->flags.back() = 1;
+       }},
+      {"duplicate, linear probing", false, StatusCode::kAlreadyExists,
+       [](BuildDimension* dim) {
+         dim->keys.back() = dim->keys.front();
+         dim->flags.front() = dim->flags.back() = 1;
+       }},
+      // The sentinel in the last morsel.
+      {"-1, linear probing", false, StatusCode::kInvalidArgument,
+       [](BuildDimension* dim) {
+         dim->keys.back() = -1;
+         dim->flags.back() = 1;
+       }},
+  };
+  for (const Case& c : cases) {
+    BuildDimension dim_data = MakeBuildDimension(c.dense);
+    c.plant(&dim_data);
+    const std::vector<std::int64_t> fact_keys = BuildFactKeys(c.dense);
+    for (const bool filtered_out : {false, true}) {
+      // The same keys in rows the filter drops are harmless.
+      BuildDimension variant = dim_data;
+      if (filtered_out) variant.flags.back() = 0;
+      engine::Table fact;
+      engine::Table dim;
+      const engine::Query query =
+          OneJoinQuery(&fact, &dim, fact_keys, variant.keys, variant.flags,
+                       BuildFactMeasures());
+      std::size_t qualifying = 0;
+      for (const std::int64_t flag : variant.flags) qualifying += flag;
+      for (const std::size_t workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::string(c.name) +
+                     (filtered_out ? " (filtered out)" : "") +
+                     " workers=" + std::to_string(workers));
+        const auto table = BuildDirect(query, workers);
+        const auto got = RunWithWorkers(query, workers);
+        if (!filtered_out) {
+          EXPECT_EQ(table.status().code(), c.code) << table.status();
+          EXPECT_EQ(got.status().code(), c.code) << got.status();
+          continue;
+        }
+        ASSERT_TRUE(table.ok()) << table.status();
+        EXPECT_EQ(table.value().entries(), qualifying);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(got.value(), Oracle(query));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The key-range memo behind the compiler's key statistics.
+
+TEST(KeyRangeMemoTest, MemoEqualsAFreshScan) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::vector<std::int64_t>> columns = {
+      {-5, -2, -9, -1},
+      {kMin, 0, kMax},
+      {kMax, kMax - 1},
+      {kMin},
+      {3, 1, 4, 1, 5, 9, 2, 6},
+  };
+  for (const std::vector<std::int64_t>& values : columns) {
+    engine::Table table;
+    ASSERT_TRUE(table.AddColumn("k", values).ok());
+    const auto [min, max] = std::minmax_element(values.begin(), values.end());
+    for (int read = 0; read < 2; ++read) {  // The pass, then the memo.
+      const auto range = table.Range("k");
+      ASSERT_TRUE(range.ok()) << range.status();
+      EXPECT_EQ(range.value().min, *min);
+      EXPECT_EQ(range.value().max, *max);
+    }
+  }
+
+  engine::Table empty;
+  ASSERT_TRUE(empty.AddColumn("k", {}).ok());
+  const auto range = empty.Range("k");
+  ASSERT_TRUE(range.ok()) << range.status();
+  EXPECT_EQ(range.value().min, 0);
+  EXPECT_EQ(range.value().max, -1);
+  EXPECT_EQ(empty.Range("missing").status().code(), StatusCode::kNotFound);
+
+  // The compiler reads the memo into the build's key statistics.
+  engine::Table fact;
+  engine::Table dim;
+  const engine::Query query =
+      OneJoinQuery(&fact, &dim, {1}, {-5, kMax, 3, kMin}, {});
+  const auto plan = Compile(query);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan.value().builds.front().keys.min_key, kMin);
+  EXPECT_EQ(plan.value().builds.front().keys.max_key, kMax);
+  EXPECT_EQ(plan.value().builds.front().keys.rows, 4u);
+}
+
+TEST(KeyRangeMemoTest, ConcurrentCompilesOfOneQueryAgree) {
+  // A fresh database, so the four compiles race for the first range pass
+  // over every dimension key column.
+  const engine::SsbDatabase db = engine::SsbDatabase::Generate(20'000, 5);
+  const engine::Query query = engine::SsbQ3(db);
+  CompileOptions options;
+  options.policy = PlacementPolicy::kCostModel;
+  std::vector<std::string> dumps(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < dumps.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const auto plan = Compile(query, options);
+      dumps[t] = plan.ok() ? ToJson(plan.value(), "ssb-q3")
+                           : plan.status().ToString();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const auto plan = Compile(query, options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const std::string& dump : dumps) {
+    EXPECT_EQ(dump, ToJson(plan.value(), "ssb-q3"));
   }
 }
 
